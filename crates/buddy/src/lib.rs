@@ -45,7 +45,7 @@ const MAX_ORDER: usize = 30;
 /// space. The allocator grows its capacity on demand by appending top-level
 /// blocks; it never shrinks (the backing `Vec` in the caller keeps its
 /// length).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Buddy {
     /// `free[o]` holds the offsets of free blocks of size `1 << o`.
     free: Vec<BTreeSet<u32>>,

@@ -156,6 +156,7 @@ impl<K: Bits, N: NodeRepr> Builder<K, N> {
             leaf_count: 0,
             s: self.s,
             backend: poptrie_bitops::BatchBackend::detect(),
+            dirty: crate::dirty::DirtyLines::everything(),
             _key: core::marker::PhantomData,
         };
         if self.s == 0 {
@@ -185,8 +186,7 @@ fn apply(value: Option<&NextHop>, inherited: NextHop) -> NextHop {
 /// per-socket replicas).
 pub(crate) fn alloc_nodes<K: Bits, N: NodeRepr>(trie: &mut PoptrieImpl<K, N>, n: u32) -> u32 {
     let off = trie.node_buddy.alloc(n);
-    let cap = trie.node_buddy.capacity() as usize;
-    poptrie_buddy::first_touch::grow(&mut trie.nodes, cap, N::new(0, 1, 0, 0));
+    trie.grow_nodes(trie.node_buddy.capacity() as usize);
     off
 }
 
@@ -195,8 +195,7 @@ pub(crate) fn alloc_nodes<K: Bits, N: NodeRepr>(trie: &mut PoptrieImpl<K, N>, n:
 pub(crate) fn alloc_leaves<K: Bits, N: NodeRepr>(trie: &mut PoptrieImpl<K, N>, n: u32) -> u32 {
     debug_assert!(trie.shared_leaves.is_none());
     let off = trie.leaf_buddy.alloc(n);
-    let cap = trie.leaf_buddy.capacity() as usize;
-    poptrie_buddy::first_touch::grow(&mut trie.leaves, cap, NO_ROUTE);
+    trie.grow_leaves(trie.leaf_buddy.capacity() as usize);
     off
 }
 
@@ -227,7 +226,7 @@ pub(crate) fn install_leaves<K: Bits, N: NodeRepr>(
         Some(off) => off,
         None => {
             let off = alloc_leaves(trie, vals.len() as u32);
-            trie.leaves[off as usize..off as usize + vals.len()].copy_from_slice(vals);
+            trie.write_leaves(off as usize, vals);
             off
         }
     };
@@ -352,7 +351,10 @@ pub(crate) fn place_node<K: Bits, N: NodeRepr>(
     } else {
         alloc_nodes(trie, spec.children.len() as u32)
     };
-    trie.nodes[idx as usize] = N::new(spec.vector, spec.leafvec, base0, base1);
+    trie.set_node(
+        idx as usize,
+        N::new(spec.vector, spec.leafvec, base0, base1),
+    );
     trie.inode_count += 1;
     for (i, (cnode, cinh)) in spec.children.into_iter().enumerate() {
         fill_node(trie, base1 + i as u32, Some(cnode), cinh);
@@ -384,13 +386,16 @@ pub(crate) fn fill_direct<K: Bits, N: NodeRepr>(
     let s = trie.s as u32;
     let Some(n) = node else {
         let width = 1usize << (s - depth);
-        trie.direct[base * width..(base + 1) * width].fill(DIRECT_LEAF_BIT | inherited as u32);
+        trie.fill_direct_slots(
+            base * width..(base + 1) * width,
+            DIRECT_LEAF_BIT | inherited as u32,
+        );
         return;
     };
     if depth == s {
         if n.has_children() {
             let idx = alloc_nodes(trie, 1);
-            trie.direct[base] = idx;
+            trie.set_direct(base, idx);
             debug_assert_eq!(
                 idx & DIRECT_LEAF_BIT,
                 0,
@@ -398,7 +403,7 @@ pub(crate) fn fill_direct<K: Bits, N: NodeRepr>(
             );
             fill_node(trie, idx, Some(n), inherited);
         } else {
-            trie.direct[base] = DIRECT_LEAF_BIT | apply(n.value(), inherited) as u32;
+            trie.set_direct(base, DIRECT_LEAF_BIT | apply(n.value(), inherited) as u32);
         }
         return;
     }

@@ -61,6 +61,7 @@ pub mod audit;
 mod batch_simd;
 pub mod builder;
 pub mod config;
+mod dirty;
 pub mod ids;
 pub mod node;
 #[cfg(feature = "trace")]

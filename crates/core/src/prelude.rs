@@ -23,7 +23,7 @@
 
 pub use crate::builder::Builder;
 pub use crate::config::{ConfigError, PoptrieConfig, PoptrieConfigBuilder};
-pub use crate::sync::{BatchOutcome, FibSnapshot, RouteUpdate, SharedFib};
+pub use crate::sync::{BatchOutcome, FibSnapshot, PublishStats, RouteUpdate, SharedFib};
 pub use crate::trie::{Poptrie, PoptrieBasic, PoptrieStats};
 pub use crate::update::{Applied, Fib, UpdateError, UpdateStats, UpdateStrategy};
 

@@ -278,6 +278,7 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             // Serialized images carry no backend: the tier is a property
             // of the loading host's CPU, re-detected at every load.
             backend: poptrie_bitops::BatchBackend::detect(),
+            dirty: crate::dirty::DirtyLines::everything(),
             _key: core::marker::PhantomData,
         };
         trie.check_invariants().map_err(SerializeError::Corrupt)?;

@@ -866,6 +866,50 @@ mod rcu {
             r.join().unwrap();
         }
     }
+
+    /// `SharedFib::version` is stored (`Release`) after the snapshot swap
+    /// and loaded with `Acquire`, so a snapshot taken after `version()`
+    /// returned `v` is never older than `v`.
+    #[test]
+    fn version_never_runs_ahead_of_snapshot() {
+        use crate::sync::SharedFib;
+        use crate::PoptrieConfig;
+        use poptrie_rib::Prefix;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let cfg = PoptrieConfig::new().direct_bits(8).build().unwrap();
+        let fib = Arc::new(SharedFib::<u32>::with_config(cfg));
+        let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(3));
+        let pollers: Vec<_> = (0..2)
+            .map(|_| {
+                let (fib, stop, start) = (Arc::clone(&fib), Arc::clone(&stop), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut checks = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let v = fib.version();
+                        let seen = fib.snapshot().version();
+                        assert!(seen >= v, "version() {v} ran ahead of snapshot {seen}");
+                        checks += 1;
+                    }
+                    checks
+                })
+            })
+            .collect();
+        start.wait();
+        for i in 0..2000u32 {
+            fib.insert(Prefix::new(i << 12, 20), 1 + (i % 7) as u16)
+                .unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        for p in pollers {
+            assert!(p.join().unwrap() > 0);
+        }
+        assert_eq!(fib.version(), 2000);
+        assert_eq!(fib.snapshot().version(), 2000);
+    }
 }
 
 #[cfg(feature = "proptest")] // needs the proptest dev-dependency (see Cargo.toml)

@@ -66,6 +66,10 @@ pub struct PoptrieImpl<K: Bits, N: NodeRepr> {
     /// straight to this kernel. Always an available tier, so the
     /// `unsafe` SIMD kernel calls are sound.
     pub(crate) backend: BatchBackend,
+    /// Lines of `direct`, `nodes` and `leaves` written since the last
+    /// publish ([`crate::sync::SharedFib`] copies only those). Read only
+    /// on a writer's trie.
+    pub(crate) dirty: crate::dirty::DirtyLines,
     pub(crate) _key: core::marker::PhantomData<K>,
 }
 

@@ -348,6 +348,12 @@ impl<K: Bits> Fib<K> {
         self.trie.set_batch_backend(backend)
     }
 
+    /// Move the compiled trie's write marks into `into` and start a fresh
+    /// set (see [`crate::dirty`]).
+    pub(crate) fn take_dirty(&mut self, into: &mut crate::dirty::DirtyLines) {
+        self.trie.take_dirty(into);
+    }
+
     /// The RIB.
     pub fn rib(&self) -> &RadixTree<K, NextHop> {
         &self.rib
@@ -578,7 +584,7 @@ impl<K: Bits> Fib<K> {
             }
         };
         if entry != old {
-            self.trie.direct[di as usize] = entry;
+            self.trie.set_direct(di as usize, entry);
             self.stats.direct_replacements += 1;
         }
     }
@@ -643,9 +649,10 @@ fn refresh_node<K: Bits>(
             stats.leaves_allocated += spec.leaf_vals.len() as u64;
             install_leaves(trie, &spec.leaf_vals)
         };
-        let node = &mut trie.nodes[idx as usize];
+        let mut node = trie.nodes[idx as usize];
         node.leafvec = spec.leafvec;
         node.base0 = base0;
+        trie.set_node(idx as usize, node);
     }
     // Recurse into the (unchanged set of) children.
     for (i, (cnode, cinh)) in spec.children.into_iter().enumerate() {
