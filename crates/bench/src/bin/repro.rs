@@ -206,7 +206,7 @@ experiments: table1 table2 table3 table4 table5 table6
                       --write-fixture FILE emits the deterministic
                       BGP4MP fixture CI replays
              trace    flight-recorder run (requires building with
-                      --features trace): per-lookup-phase perf-counter
+                      --features observe): per-lookup-phase perf-counter
                       attribution (direct-point hit vs trie descent, per
                       dispatch tier), a BGP->writer->replica->lookup
                       convergence-span replay exported as Perfetto-
@@ -231,7 +231,7 @@ experiments: table1 table2 table3 table4 table5 table6
                       a seeded lookup + churn workload whose counters are
                       reconciled against the script, dumped as Prometheus
                       text and results/BENCH_telemetry.json (requires
-                      building with --features telemetry); --prometheus
+                      building with --features observe); --prometheus
                       additionally exercises the engine and a BGP session
                       and merges their registries into the same scrape
              stats <dataset|SYN1-...|SYN2-...>   structural diagnostics
@@ -2839,19 +2839,19 @@ fn batch(ctx: &mut Ctx) {
 // ------------------------------------------------------------ diagnostics
 
 /// `repro stats`: with a dataset argument, structural diagnostics of the
-/// dataset; with none, the live-telemetry replay (`telemetry` feature).
+/// dataset; with none, the live-telemetry replay (`observe` feature).
 /// `repro trace [--quick] [--threads N]`: the flight-recorder run.
 ///
 /// Three phases:
 ///
 /// 1. **Perf attribution.** Traffic against REAL-Tier1-A is partitioned
-///    by [`poptrie::phase::LookupPhase`] (direct-point hit vs. trie
+///    by [`poptrie::telemetry::LookupPhase`] (direct-point hit vs. trie
 ///    descent) and each partition is measured per dispatch tier under a
 ///    `perf_event_open` counter group, attributing cycles,
 ///    instructions, L1d/LLC read misses and branch misses per lookup to
-///    each phase. The partition is cross-checked against the live phase
-///    counters — a mismatch means the instrumentation lies, and exits
-///    nonzero.
+///    each phase. The partition is cross-checked against the phase
+///    split of the live lookup counters — a mismatch means the
+///    instrumentation lies, and exits nonzero.
 /// 2. **Convergence spans.** A BGP session replays a synthetic UPDATE
 ///    trace into a recorder-equipped engine (2 NUMA replicas); every
 ///    accepted span must surface as writer apply, per-replica publish
@@ -2864,10 +2864,10 @@ fn batch(ctx: &mut Ctx) {
 ///
 /// Everything lands in `results/BENCH_trace.json`; a malformed document
 /// or a broken span chain exits nonzero so CI can gate on it.
-#[cfg(feature = "trace")]
+#[cfg(feature = "observe")]
 fn trace_cmd(ctx: &mut Ctx, threads: usize) {
-    use poptrie::phase;
     use poptrie::sync::{RouteUpdate, SharedFib};
+    use poptrie::telemetry::{self, LookupPhase};
     use poptrie::BatchBackend;
     use poptrie_bgp::wire::{Message, OpenMsg};
     use poptrie_bgp::{Event, NextHopInterner, RouteEvent, Session, SessionConfig, State};
@@ -2897,8 +2897,8 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     let mut descent_keys: Vec<u32> = Vec::new();
     for &k in &packets {
         match fib.poptrie().lookup_phase(k) {
-            phase::LookupPhase::Direct => direct_keys.push(k),
-            phase::LookupPhase::Descent(_) => descent_keys.push(k),
+            LookupPhase::Direct => direct_keys.push(k),
+            LookupPhase::Descent(_) => descent_keys.push(k),
         }
     }
     println!(
@@ -2915,23 +2915,23 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
         }
     }
 
-    // Cross-check the live phase counters against the static partition
+    // Cross-check the live lookup counters against the static partition
     // on every tier: each key must be counted exactly once, on the same
     // side `lookup_phase` predicted, by scalar and SIMD walkers alike.
     for &tier in &tiers {
         fib.set_batch_backend(tier);
-        phase::reset();
+        telemetry::reset();
         let mut out = vec![0 as poptrie::NextHop; packets.len()];
         fib.poptrie().lookup_batch(&packets, &mut out);
-        let ps = phase::snapshot();
-        let ok =
-            ps.direct_hits == direct_keys.len() as u64 && ps.descents == descent_keys.len() as u64;
+        let ts = telemetry::snapshot();
+        let ok = ts.direct_hits == direct_keys.len() as u64
+            && ts.descents() == descent_keys.len() as u64;
         println!(
             "[trace] phase counters on {:<6}: {} direct, {} descents (mean depth {:.2})  {}",
             tier.name(),
-            ps.direct_hits,
-            ps.descents,
-            ps.mean_descent_depth(),
+            ts.direct_hits,
+            ts.descents(),
+            ts.mean_descent_depth(),
             if ok { "ok" } else { "MISMATCH" }
         );
         if !ok {
@@ -2940,10 +2940,10 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     }
     let mean_descent_depth = {
         fib.set_batch_backend(BatchBackend::Scalar);
-        phase::reset();
+        telemetry::reset();
         let mut out = vec![0 as poptrie::NextHop; packets.len()];
         fib.poptrie().lookup_batch(&packets, &mut out);
-        phase::snapshot().mean_descent_depth()
+        telemetry::snapshot().mean_descent_depth()
     };
 
     // One measured cell: `rounds` batched passes over `keys` under the
@@ -3363,18 +3363,6 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     }
 }
 
-/// Without the `trace` feature there is no recorder to run; say how to
-/// get one.
-#[cfg(not(feature = "trace"))]
-fn trace_cmd(_ctx: &mut Ctx, _threads: usize) {
-    eprintln!(
-        "repro trace needs the flight recorder compiled in:\n\
-         \n    cargo run --release -p poptrie-bench --features trace --bin repro -- trace --quick\n\
-         \nThe default build deliberately contains no recorder code (see DESIGN.md §12)."
-    );
-    std::process::exit(2);
-}
-
 fn stats(ctx: &mut Ctx, args: &[String]) {
     let unified = args.iter().any(|a| a == "--prometheus");
     match args.iter().filter(|a| !a.starts_with("--")).nth(1).cloned() {
@@ -3460,7 +3448,7 @@ fn dataset_stats(ctx: &mut Ctx, name: &str) {
 /// engine and a BGP session and merges their registries into the core
 /// FIB registry, so one scrape covers the whole stack
 /// (`poptrie_*` + `poptrie_engine_*` + `poptrie_bgp_*`).
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "observe")]
 fn telemetry_stats(ctx: &mut Ctx, unified: bool) {
     use poptrie::sync::SharedFib;
     use poptrie::telemetry;
@@ -3601,7 +3589,7 @@ fn telemetry_stats(ctx: &mut Ctx, unified: bool) {
 /// (handshake + one UPDATE), then return their telemetry registries
 /// merged, so `repro stats --prometheus` emits core, engine and BGP
 /// metric families in a single Prometheus document.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "observe")]
 fn whole_stack_registry(quick: bool) -> poptrie_telemetry::TelemetryRegistry {
     use poptrie::sync::SharedFib;
     use poptrie_bgp::wire::{Message, OpenMsg, UpdateMsg};
@@ -3678,18 +3666,33 @@ fn whole_stack_registry(quick: bool) -> poptrie_telemetry::TelemetryRegistry {
     reg
 }
 
-/// Without the `telemetry` feature the counters do not exist; point at
-/// the feature and fall back to the structural diagnostics.
-#[cfg(not(feature = "telemetry"))]
-fn telemetry_stats(ctx: &mut Ctx, _unified: bool) {
-    eprintln!(
-        "repro stats with no dataset argument is the live-telemetry replay, which\n\
-         needs the counters compiled in:\n\
-         \n    cargo run --release -p poptrie-bench --features telemetry --bin repro -- stats\n\
-         \nfalling back to structural diagnostics of REAL-Tier1-A.\n"
-    );
-    dataset_stats(ctx, "REAL-Tier1-A");
+/// Without the `observe` feature neither the counters nor the recorder
+/// exist, so `repro trace` and the live `repro stats` replay cannot run;
+/// say how to get them and exit 2.
+#[cfg(not(feature = "observe"))]
+mod observe_stub {
+    use super::Ctx;
+
+    pub(super) fn trace_cmd(_ctx: &mut Ctx, _threads: usize) {
+        needs_observe("trace --quick");
+    }
+
+    pub(super) fn telemetry_stats(_ctx: &mut Ctx, _unified: bool) {
+        needs_observe("stats --quick");
+    }
+
+    fn needs_observe(cmd: &str) -> ! {
+        eprintln!(
+            "repro {cmd} needs the instrumentation compiled in:\n\
+             \n    cargo run --release -p poptrie-bench --features observe --bin repro -- {cmd}\n\
+             \nThe default build deliberately contains none (see DESIGN.md §7); \
+             `repro stats <dataset>` prints structural diagnostics without it."
+        );
+        std::process::exit(2);
+    }
 }
+#[cfg(not(feature = "observe"))]
+use observe_stub::{telemetry_stats, trace_cmd};
 
 // ----------------------------------------------------------------- §4.9
 

@@ -91,17 +91,9 @@ fn step_lane<K: Bits, N: NodeRepr>(
         internal == 0 || offset[i] < K::BITS,
         "traversal ran past the key width; corrupt trie"
     );
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "observe")]
     if internal == 0 {
-        crate::telemetry::record_leaf_resolution(
-            true,
-            (offset[i] - 6 - s) / 6 + 1,
-            N::COMPRESSES_LEAVES,
-        );
-    }
-    #[cfg(feature = "trace")]
-    if internal == 0 {
-        crate::phase::record_phase_descent((offset[i] - 6 - s) / 6 + 1);
+        crate::telemetry::record_lookup(true, N::COMPRESSES_LEAVES, (offset[i] - 6 - s) / 6 + 1);
     }
     let next_line = (nodes_ptr as *const u8).wrapping_add(next as usize * N::SIZE);
     let leaf_line =
@@ -126,7 +118,7 @@ unsafe fn walk<K: Bits, N: NodeRepr, const WIDE: bool>(
 ) {
     let n = keys.len();
     debug_assert!(n <= SIMD_LANES && n == out.len());
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "observe")]
     {
         // Account the wide chunk as BATCH_LANES-sized chunk equivalents
         // so the counters (and the lane-fill histogram buckets, sized

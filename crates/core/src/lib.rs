@@ -64,13 +64,11 @@ pub mod config;
 mod dirty;
 pub mod ids;
 pub mod node;
-#[cfg(feature = "trace")]
-pub mod phase;
 pub mod prelude;
 pub mod serial;
 pub mod shared_leaves;
 pub mod sync;
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "observe")]
 pub mod telemetry;
 pub mod trie;
 pub mod update;

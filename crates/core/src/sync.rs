@@ -135,7 +135,7 @@ impl<T> RcuCell<T> {
             };
             core::mem::replace(&mut *g, next)
         };
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "observe")]
         crate::telemetry::record_rcu_publish(Arc::strong_count(&old) as u64 - 1);
         old
     }

@@ -1,4 +1,5 @@
-//! Runtime telemetry for the Poptrie hot paths (the `telemetry` feature).
+//! Runtime instrumentation for the Poptrie hot paths (the `observe`
+//! feature).
 //!
 //! The paper's evaluation is a set of offline measurements: lookup rate by
 //! traffic pattern (Figs. 8–10), prefix-length/descent-depth breakdowns
@@ -12,11 +13,11 @@
 //!
 //! # Zero cost when disabled
 //!
-//! Every instrumentation site in `trie.rs`, `update.rs` and `sync.rs` is
-//! a `#[cfg(feature = "telemetry")]` block, so the default build compiles
-//! to exactly the uninstrumented code — no branch, no no-op call, no
-//! symbol. CI asserts the default release rlib contains no telemetry
-//! metric names.
+//! Every instrumentation site in `trie.rs`, `batch_simd.rs`, `update.rs`
+//! and `sync.rs` is a `#[cfg(feature = "observe")]` block, so the default
+//! build compiles to exactly the uninstrumented code — no branch, no
+//! no-op call, no symbol. CI asserts the default release artifacts
+//! contain no metric names.
 //!
 //! # Counter semantics
 //!
@@ -27,12 +28,22 @@
 //! contract. [`reset`] zeroes everything; serialize it against the
 //! workload you want to measure.
 //!
-//! Depth accounting: a lookup resolved entirely by the §3.4 direct table
+//! # One hook per lookup
+//!
+//! Each site where a lookup resolves — the scalar direct hit and leaf,
+//! the batched direct round, the scalar-chunk leaf and the SIMD lane
+//! leaf — makes one call to `record_lookup`: a single sharded increment
+//! of one histogram indexed by (scalar or batched) × (`leafvec` or plain
+//! vector) × depth. A lookup resolved entirely by the §3.4 direct table
 //! records depth 0; one that descends through `d` internal nodes records
-//! depth `d`. Every lookup records exactly one depth observation, so the
-//! histogram's mass equals the lookup total — the reconciliation the
-//! differential test (`tests/telemetry.rs` in the umbrella crate)
-//! enforces.
+//! depth `d`. Everything else a snapshot reports about lookups — the
+//! per-mode totals, direct hits, resolutions per ranking mechanism, the
+//! depth histogram, and the direct/descent phase split with its mean
+//! descent depth that `repro trace` attributes perf counters to — is
+//! derived from that histogram when [`snapshot`] reads it, so every
+//! lookup is counted once and the derived totals reconcile by
+//! construction (`tests/telemetry.rs` in the umbrella crate checks them
+//! on every dispatch tier).
 
 use poptrie_bitops::Bits;
 use poptrie_telemetry::{Counter, Gauge, Histogram, Log2Histogram, LOG2_BUCKETS};
@@ -49,6 +60,10 @@ use crate::update::UpdateStats;
 /// `u128` with `s = 0` — so 24 buckets never clamp in practice.
 pub const DEPTH_BUCKETS: usize = 24;
 
+/// Buckets of the per-lookup histogram: (scalar, batched) × (vector,
+/// `leafvec`) × depth, in that order of significance.
+const LOOKUP_BUCKETS: usize = 4 * DEPTH_BUCKETS;
+
 /// Buckets in the batch-lane fill histogram: a chunk carries 0..=[`BATCH_LANES`]
 /// keys.
 ///
@@ -57,13 +72,7 @@ pub const FILL_BUCKETS: usize = crate::BATCH_LANES + 1;
 
 // ---- the process-wide metrics ------------------------------------------
 
-static LOOKUPS_SCALAR: Counter = Counter::new();
-static LOOKUPS_BATCHED: Counter = Counter::new();
-static DIRECT_HITS: Counter = Counter::new();
-static RES_LEAFVEC: Counter = Counter::new();
-static RES_VECTOR: Counter = Counter::new();
-static DEPTH: Histogram<DEPTH_BUCKETS> = Histogram::new();
-static BATCH_CALLS: Counter = Counter::new();
+static LOOKUPS: Histogram<LOOKUP_BUCKETS> = Histogram::new();
 static BATCH_FILL: Histogram<FILL_BUCKETS> = Histogram::new();
 
 static ANNOUNCES: Counter = Counter::new();
@@ -81,40 +90,20 @@ static RCU_OUTSTANDING_PEAK: Gauge = Gauge::new();
 
 // ---- hot-path hooks (called from cfg-gated sites in trie/update/sync) --
 
-/// A lookup fully resolved by the direct-pointing table (depth 0).
+/// One lookup, scalar or `batched`, that resolved after descending
+/// `depth` internal nodes (0 = a direct-table hit). `leafvec` says whether
+/// the trie's nodes rank leaves through the §3.3 compressed `leafvec`
+/// (`Node24`) or the plain vector (`Node16`); a direct hit ranks nothing,
+/// so [`snapshot`] counts it under neither.
 #[inline]
-pub(crate) fn record_direct_hit(batched: bool) {
-    if batched {
-        LOOKUPS_BATCHED.inc();
-    } else {
-        LOOKUPS_SCALAR.inc();
-    }
-    DIRECT_HITS.inc();
-    DEPTH.record(0);
-}
-
-/// A lookup that descended `depth` internal nodes and resolved a leaf.
-/// `leafvec` says whether the terminal node ranks leaves through the §3.3
-/// compressed `leafvec` (`Node24`) or the plain vector (`Node16`).
-#[inline]
-pub(crate) fn record_leaf_resolution(batched: bool, depth: u32, leafvec: bool) {
-    if batched {
-        LOOKUPS_BATCHED.inc();
-    } else {
-        LOOKUPS_SCALAR.inc();
-    }
-    if leafvec {
-        RES_LEAFVEC.inc();
-    } else {
-        RES_VECTOR.inc();
-    }
-    DEPTH.record(depth as usize);
+pub(crate) fn record_lookup(batched: bool, leafvec: bool, depth: u32) {
+    let group = 2 * batched as usize + leafvec as usize;
+    LOOKUPS.record(group * DEPTH_BUCKETS + (depth as usize).min(DEPTH_BUCKETS - 1));
 }
 
 /// One `lookup_batch_chunk` invocation carrying `fill` keys.
 #[inline]
 pub(crate) fn record_batch_call(fill: usize) {
-    BATCH_CALLS.inc();
     BATCH_FILL.record(fill);
 }
 
@@ -146,6 +135,19 @@ pub(crate) fn record_rebuild(cycles: u64) {
 pub(crate) fn record_rcu_publish(outstanding: u64) {
     RCU_PUBLISHES.inc();
     RCU_OUTSTANDING_PEAK.record_max(outstanding);
+}
+
+/// The phase a single lookup resolves in. Returned by
+/// [`lookup_phase`](crate::trie::PoptrieImpl::lookup_phase), which
+/// classifies a key without touching the counters — the `repro trace`
+/// harness uses it to partition a traffic sample into per-phase batches
+/// before measuring each partition under the perf group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LookupPhase {
+    /// Resolved by the direct table: one load, depth 0.
+    Direct,
+    /// Descended this many internal nodes (≥ 1) before the leaf.
+    Descent(u32),
 }
 
 // ---- exposition --------------------------------------------------------
@@ -201,7 +203,7 @@ pub struct TelemetrySnapshot {
     /// Descent-depth histogram; index = internal nodes visited, 0 = direct
     /// hit. Mass equals `lookups_scalar + lookups_batched`.
     pub depth: [u64; DEPTH_BUCKETS],
-    /// `lookup_batch_chunk` invocations.
+    /// `lookup_batch_chunk` invocations (the mass of `batch_fill`).
     pub batch_calls: u64,
     /// Batch-lane fill histogram; index = keys in the chunk.
     pub batch_fill: [u64; FILL_BUCKETS],
@@ -237,15 +239,16 @@ pub struct TelemetrySnapshot {
 
 /// Materialize the current process-wide counters.
 pub fn snapshot() -> TelemetrySnapshot {
-    TelemetrySnapshot {
-        lookups_scalar: LOOKUPS_SCALAR.get(),
-        lookups_batched: LOOKUPS_BATCHED.get(),
-        direct_hits: DIRECT_HITS.get(),
-        leafvec_resolutions: RES_LEAFVEC.get(),
-        vector_resolutions: RES_VECTOR.get(),
-        depth: DEPTH.counts(),
-        batch_calls: BATCH_CALLS.get(),
-        batch_fill: BATCH_FILL.counts(),
+    let batch_fill = BATCH_FILL.counts();
+    let mut t = TelemetrySnapshot {
+        lookups_scalar: 0,
+        lookups_batched: 0,
+        direct_hits: 0,
+        leafvec_resolutions: 0,
+        vector_resolutions: 0,
+        depth: [0; DEPTH_BUCKETS],
+        batch_calls: batch_fill.iter().sum(),
+        batch_fill,
         announces: ANNOUNCES.get(),
         withdraws: WITHDRAWS.get(),
         rebuilds: REBUILDS.get(),
@@ -259,20 +262,33 @@ pub fn snapshot() -> TelemetrySnapshot {
         rcu_publishes: RCU_PUBLISHES.get(),
         rcu_outstanding_peak: RCU_OUTSTANDING_PEAK.get(),
         structure: None,
+    };
+    for (group, by_depth) in LOOKUPS.counts().chunks(DEPTH_BUCKETS).enumerate() {
+        let total: u64 = by_depth.iter().sum();
+        let resolved = total - by_depth[0];
+        if group >= 2 {
+            t.lookups_batched += total;
+        } else {
+            t.lookups_scalar += total;
+        }
+        if group % 2 == 1 {
+            t.leafvec_resolutions += resolved;
+        } else {
+            t.vector_resolutions += resolved;
+        }
+        for (d, n) in t.depth.iter_mut().zip(by_depth) {
+            *d += n;
+        }
     }
+    t.direct_hits = t.depth[0];
+    t
 }
 
 /// Zero every process-wide counter, histogram and gauge. Serialize this
 /// against the workload being measured (tests that assert exact totals
 /// must own the process).
 pub fn reset() {
-    LOOKUPS_SCALAR.reset();
-    LOOKUPS_BATCHED.reset();
-    DIRECT_HITS.reset();
-    RES_LEAFVEC.reset();
-    RES_VECTOR.reset();
-    DEPTH.reset();
-    BATCH_CALLS.reset();
+    LOOKUPS.reset();
     BATCH_FILL.reset();
     ANNOUNCES.reset();
     WITHDRAWS.reset();
@@ -291,6 +307,29 @@ impl TelemetrySnapshot {
     /// Total lookups across both paths.
     pub fn lookups_total(&self) -> u64 {
         self.lookups_scalar + self.lookups_batched
+    }
+
+    /// Lookups that descended at least one internal node.
+    pub fn descents(&self) -> u64 {
+        self.lookups_total() - self.direct_hits
+    }
+
+    /// Mean descent depth over descending lookups (0.0 when none).
+    pub fn mean_descent_depth(&self) -> f64 {
+        match self.descents() {
+            0 => 0.0,
+            n => self.descent_levels() as f64 / n as f64,
+        }
+    }
+
+    /// Internal nodes walked across all lookups (the depth histogram's
+    /// sum).
+    fn descent_levels(&self) -> u64 {
+        self.depth
+            .iter()
+            .enumerate()
+            .map(|(d, &n)| d as u64 * n)
+            .sum()
     }
 
     /// Total applied route updates.
@@ -345,18 +384,12 @@ impl TelemetrySnapshot {
             .enumerate()
             .map(|(i, &n)| (i as f64, n))
             .collect();
-        let depth_sum: u64 = self
-            .depth
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| i as u64 * n)
-            .sum();
         r.histogram(
             "poptrie_lookup_depth",
             "Trie descent depth per lookup: internal nodes visited (0 = direct-table hit; cf. Fig. 11).",
             &[],
             &depth_buckets,
-            depth_sum as f64,
+            self.descent_levels() as f64,
         );
         r.counter(
             "poptrie_batch_calls_total",

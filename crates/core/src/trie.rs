@@ -227,10 +227,8 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             // `direct.len() == 1 << s` by construction.
             let entry = unsafe { *self.direct.get_unchecked(di) };
             if entry & DIRECT_LEAF_BIT != 0 {
-                #[cfg(feature = "telemetry")]
-                crate::telemetry::record_direct_hit(false);
-                #[cfg(feature = "trace")]
-                crate::phase::record_phase_direct();
+                #[cfg(feature = "observe")]
+                crate::telemetry::record_lookup(false, N::COMPRESSES_LEAVES, 0);
                 return (entry & !DIRECT_LEAF_BIT) as NextHop;
             }
             index = entry;
@@ -265,14 +263,12 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
                 // Algorithm 1 line 13–15 / Algorithm 2.
                 let li = (node.base0() + node.leaf_rank(v) - 1) as usize;
                 debug_assert!(li < self.leaf_slots());
-                #[cfg(feature = "telemetry")]
-                crate::telemetry::record_leaf_resolution(
+                #[cfg(feature = "observe")]
+                crate::telemetry::record_lookup(
                     false,
-                    (offset - self.s as u32) / 6 + 1,
                     N::COMPRESSES_LEAVES,
+                    (offset - self.s as u32) / 6 + 1,
                 );
-                #[cfg(feature = "trace")]
-                crate::phase::record_phase_descent((offset - self.s as u32) / 6 + 1);
                 // SAFETY: `leaf_rank(v)` is in `1..=leaf_count()` for a
                 // relevant slot and the node's leaf block
                 // `[base0, base0 + leaf_count)` is live leaf storage.
@@ -282,21 +278,21 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
     }
 
     /// Classify the phase a lookup of `key` resolves in — direct-table
-    /// hit or descent of a given depth — without touching the phase
-    /// counters or the route result. The `repro trace` harness uses this
+    /// hit or descent of a given depth — without touching the counters
+    /// or the route result. The `repro trace` harness uses this
     /// to partition a traffic sample into per-phase batches before
     /// measuring each partition under the perf-counter group, so the
     /// attribution ("direct hits cost X cycles, depth-d descents cost Y")
     /// is measured, not inferred.
-    #[cfg(feature = "trace")]
-    pub fn lookup_phase(&self, key: K) -> crate::phase::LookupPhase {
+    #[cfg(feature = "observe")]
+    pub fn lookup_phase(&self, key: K) -> crate::telemetry::LookupPhase {
         let mut index: u32;
         let mut offset: u32;
         if self.s != 0 {
             let di = key.extract(0, self.s as u32) as usize;
             let entry = self.direct[di];
             if entry & DIRECT_LEAF_BIT != 0 {
-                return crate::phase::LookupPhase::Direct;
+                return crate::telemetry::LookupPhase::Direct;
             }
             index = entry;
             offset = self.s as u32;
@@ -312,7 +308,7 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
                 index = node.base1() + rank1(vector, v) - 1;
                 offset += 6;
             } else {
-                return crate::phase::LookupPhase::Descent((offset - self.s as u32) / 6 + 1);
+                return crate::telemetry::LookupPhase::Descent((offset - self.s as u32) / 6 + 1);
             }
         }
     }
@@ -399,10 +395,8 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
                 // s bits and `direct.len() == 1 << s`.
                 let entry = unsafe { *self.direct.get_unchecked(di) };
                 if entry & DIRECT_LEAF_BIT != 0 {
-                    #[cfg(feature = "telemetry")]
-                    crate::telemetry::record_direct_hit(true);
-                    #[cfg(feature = "trace")]
-                    crate::phase::record_phase_direct();
+                    #[cfg(feature = "observe")]
+                    crate::telemetry::record_lookup(true, N::COMPRESSES_LEAVES, 0);
                     out[i] = (entry & !DIRECT_LEAF_BIT) as NextHop;
                 } else {
                     index[i] = entry;
@@ -428,7 +422,7 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
     /// was prefetched last round (`leaf_mask`).
     fn lookup_batch_chunk(&self, keys: &[K], out: &mut [NextHop]) {
         debug_assert!(keys.len() <= BATCH_LANES && keys.len() == out.len());
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "observe")]
         crate::telemetry::record_batch_call(keys.len());
         let mut index = [0u32; BATCH_LANES];
         let mut offset = [0u32; BATCH_LANES];
@@ -488,14 +482,12 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
                     leaf[i] = li;
                     live &= !(1 << i);
                     leaf_mask |= 1 << i;
-                    #[cfg(feature = "telemetry")]
-                    crate::telemetry::record_leaf_resolution(
+                    #[cfg(feature = "observe")]
+                    crate::telemetry::record_lookup(
                         true,
-                        (offset[i] - self.s as u32) / 6 + 1,
                         N::COMPRESSES_LEAVES,
+                        (offset[i] - self.s as u32) / 6 + 1,
                     );
-                    #[cfg(feature = "trace")]
-                    crate::phase::record_phase_descent((offset[i] - self.s as u32) / 6 + 1);
                     self.prefetch_leaf(li as usize);
                 }
             }

@@ -390,11 +390,11 @@ impl<K: Bits> Fib<K> {
         self.check_capacity()?;
         let old = self.rib.insert(prefix, nh);
         if old != Some(nh) {
-            #[cfg(feature = "telemetry")]
+            #[cfg(feature = "observe")]
             let (t0, before) = (poptrie_cycles::rdtsc_serialized(), self.stats);
             self.patch_range(prefix);
             self.stats.updates += 1;
-            #[cfg(feature = "telemetry")]
+            #[cfg(feature = "observe")]
             crate::telemetry::record_update(
                 true,
                 poptrie_cycles::rdtsc_serialized().wrapping_sub(t0),
@@ -433,11 +433,11 @@ impl<K: Bits> Fib<K> {
         let Some(old) = self.rib.remove(prefix) else {
             return Ok(Applied::Absent);
         };
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "observe")]
         let (t0, before) = (poptrie_cycles::rdtsc_serialized(), self.stats);
         self.patch_range(prefix);
         self.stats.updates += 1;
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "observe")]
         crate::telemetry::record_update(
             false,
             poptrie_cycles::rdtsc_serialized().wrapping_sub(t0),
@@ -485,7 +485,7 @@ impl<K: Bits> Fib<K> {
     /// private storage dies with its `Vec`s, but shared-arena references
     /// are refcounted) and rebuilds against the same arena.
     pub fn rebuild(&mut self) {
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "observe")]
         let t0 = poptrie_cycles::rdtsc_serialized();
         release_trie_shared_leaves(&mut self.trie);
         let mut b = Builder::new().direct_bits(self.trie.s).aggregate(false);
@@ -493,7 +493,7 @@ impl<K: Bits> Fib<K> {
             b = b.shared_leaves(h);
         }
         self.trie = b.build(&self.rib);
-        #[cfg(feature = "telemetry")]
+        #[cfg(feature = "observe")]
         crate::telemetry::record_rebuild(poptrie_cycles::rdtsc_serialized().wrapping_sub(t0));
     }
 

@@ -56,8 +56,28 @@ use poptrie_vrf::VrfTable;
 
 use poptrie_telemetry::Log2Histogram;
 
-#[cfg(feature = "trace")]
+#[cfg(not(feature = "observe"))]
+use no_recorder::{Recorder, RingWriter};
+#[cfg(feature = "observe")]
 use poptrie_trace::{pack_worker_tier, EventKind, Recorder, RingWriter};
+
+/// The flight recorder's types in a build without `observe`. Both are
+/// uninhabited, so `EngineConfig::recorder` and every thread's
+/// `Option<&RingWriter>` are always `None`: the engine spawns each thread
+/// with one call in every build, and the default build carries no
+/// recorder code.
+#[cfg(not(feature = "observe"))]
+mod no_recorder {
+    #[derive(Clone, Debug)]
+    pub(crate) enum Recorder {}
+    pub(crate) type RingWriter = Recorder;
+
+    impl Recorder {
+        pub(crate) fn register(&self, _name: &str) -> RingWriter {
+            match *self {}
+        }
+    }
+}
 
 use crate::affinity;
 use crate::queue::{Bounded, PushError, NO_SOURCE};
@@ -83,7 +103,7 @@ type Stamped<K> = (Instant, Option<VrfId>, Arc<[K]>);
 /// the engine's own FIB), and the update itself. The span word rides
 /// along unconditionally — it is 8 bytes per queued event and never
 /// touched on the hot path — so the control-plane API is identical with
-/// and without the `trace` feature.
+/// and without the `observe` feature.
 type StampedUpdate<K> = (Instant, u64, Option<VrfId>, RouteUpdate<K>);
 
 /// An out-of-range worker or source index handed to one of the engine's
@@ -144,7 +164,6 @@ pub struct EngineConfig<K: Bits> {
     vrfs: Option<Arc<VrfTable<K>>>,
     on_batch: Option<BatchHook<K>>,
     on_publish: Option<PublishHook<K>>,
-    #[cfg(feature = "trace")]
     recorder: Option<Recorder>,
 }
 
@@ -184,7 +203,6 @@ impl<K: Bits> EngineConfig<K> {
             vrfs: None,
             on_batch: None,
             on_publish: None,
-            #[cfg(feature = "trace")]
             recorder: None,
         }
     }
@@ -289,10 +307,10 @@ impl<K: Bits> EngineConfig<K> {
     /// record the ingress → dequeue → lookup slice for 1-in-N sampled
     /// batches (N = the recorder's sample divisor) plus every snapshot
     /// adoption; the writer records every burst, spanned update apply,
-    /// and per-replica publish. Only available with the `trace` feature
+    /// and per-replica publish. Only available with the `observe` feature
     /// — without it this method does not exist and the engine contains
     /// no recorder code at all.
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "observe")]
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -893,7 +911,6 @@ impl<K: Bits> Engine<K> {
             let delay = config.batch_delay;
             let pin = config.pin_workers;
             let qos = config.qos;
-            #[cfg(feature = "trace")]
             let recorder = config.recorder.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("fwd-worker-{idx}"))
@@ -901,24 +918,7 @@ impl<K: Bits> Engine<K> {
                     if pin {
                         let _ = affinity::pin_current_thread(idx);
                     }
-                    #[cfg(feature = "trace")]
-                    {
-                        let tracer = recorder.map(|r| r.register(&format!("worker{idx}")));
-                        worker_main(
-                            idx,
-                            replica,
-                            &fib,
-                            vrfs.as_deref(),
-                            &queue,
-                            &stats,
-                            &flag,
-                            delay,
-                            qos,
-                            hook.as_ref(),
-                            tracer.as_ref(),
-                        );
-                    }
-                    #[cfg(not(feature = "trace"))]
+                    let tracer = recorder.map(|r| r.register(&format!("worker{idx}")));
                     worker_main(
                         idx,
                         replica,
@@ -930,6 +930,7 @@ impl<K: Bits> Engine<K> {
                         delay,
                         qos,
                         hook.as_ref(),
+                        tracer.as_ref(),
                     );
                 })
                 .expect("spawn forwarding worker");
@@ -943,25 +944,11 @@ impl<K: Bits> Engine<K> {
             let vrfs = config.vrfs.clone();
             let hook = config.on_publish.clone();
             let window = config.coalesce_window;
-            #[cfg(feature = "trace")]
             let recorder = config.recorder.clone();
             std::thread::Builder::new()
                 .name("fib-writer".to_string())
                 .spawn(move || {
-                    #[cfg(feature = "trace")]
-                    {
-                        let tracer = recorder.map(|r| r.register("writer"));
-                        writer_main(
-                            &replicas,
-                            vrfs.as_deref(),
-                            &queue,
-                            &stats,
-                            window,
-                            hook.as_ref(),
-                            tracer.as_ref(),
-                        );
-                    }
-                    #[cfg(not(feature = "trace"))]
+                    let tracer = recorder.map(|r| r.register("writer"));
                     writer_main(
                         &replicas,
                         vrfs.as_deref(),
@@ -969,6 +956,7 @@ impl<K: Bits> Engine<K> {
                         &stats,
                         window,
                         hook.as_ref(),
+                        tracer.as_ref(),
                     );
                 })
                 .expect("spawn control-plane writer")
@@ -1210,17 +1198,17 @@ fn worker_main<K: Bits>(
     delay: Duration,
     qos: QosPolicy,
     hook: Option<&BatchHook<K>>,
-    #[cfg(feature = "trace")] tracer: Option<&RingWriter>,
+    tracer: Option<&RingWriter>,
 ) {
-    #[cfg(not(feature = "trace"))]
-    let _ = replica;
+    #[cfg(not(feature = "observe"))]
+    let _ = (replica, tracer);
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut out: Vec<NextHop> = Vec::new();
             // Last snapshot version this worker served against: a change
             // is this worker's adoption of a newly published snapshot —
             // the closing event of a convergence span.
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "observe")]
             let mut last_version: u64 = 0;
             while let Some((source, (enqueued, vrf, batch))) = queue.pop_entry() {
                 let w = stats.worker(idx);
@@ -1230,7 +1218,7 @@ fn worker_main<K: Bits>(
                 // The per-batch sampling gate: decide once at dequeue so
                 // a sampled batch carries its whole ingress → dequeue →
                 // lookup slice coherently.
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "observe")]
                 let sampled = tracer.map(|t| t.tick()).unwrap_or(false);
                 // Deadline check at pop, *before* the chaos delay: the
                 // drop decision reflects only real queueing, so tests
@@ -1286,7 +1274,7 @@ fn worker_main<K: Bits>(
                 w.packets.add(batch.len() as u64);
                 w.batches.inc();
                 w.snapshot_version.set(snap.version());
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "observe")]
                 if let Some(t) = tracer {
                     let tier = match snap.batch_backend() {
                         poptrie_bitops::BatchBackend::Scalar => 0,
@@ -1367,8 +1355,10 @@ fn writer_main<K: Bits>(
     stats: &EngineTelemetry,
     window: usize,
     hook: Option<&PublishHook<K>>,
-    #[cfg(feature = "trace")] tracer: Option<&RingWriter>,
+    tracer: Option<&RingWriter>,
 ) {
+    #[cfg(not(feature = "observe"))]
+    let _ = tracer;
     let fib = &replicas[0];
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
@@ -1399,7 +1389,7 @@ fn writer_main<K: Bits>(
                 coalesced.reverse();
                 vrf_bound.reverse();
                 let merged = buf.len() - coalesced.len() - vrf_bound.len();
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "observe")]
                 if let Some(t) = tracer {
                     t.record(EventKind::WriterBurst, 0, buf.len() as u64, merged as u32);
                 }
@@ -1449,7 +1439,7 @@ fn writer_main<K: Bits>(
                 stats.update_events.add(buf.len() as u64);
                 stats.updates_coalesced.add(merged as u64);
                 if let Some(outcome) = outcome {
-                    #[cfg(feature = "trace")]
+                    #[cfg(feature = "observe")]
                     if let Some(t) = tracer {
                         // Every spanned event in the burst converged at
                         // this version — coalesced-away events too
@@ -1465,11 +1455,11 @@ fn writer_main<K: Bits>(
                     for (ri, replica) in replicas.iter().enumerate().skip(1) {
                         replica.update_batch(coalesced.iter().copied());
                         stats.replica_publishes.inc();
-                        #[cfg(feature = "trace")]
+                        #[cfg(feature = "observe")]
                         if let Some(t) = tracer {
                             t.record(EventKind::ReplicaPublish, 0, outcome.version, ri as u32);
                         }
-                        #[cfg(not(feature = "trace"))]
+                        #[cfg(not(feature = "observe"))]
                         let _ = ri;
                     }
                     stats.updates_applied.add(outcome.applied as u64);

@@ -19,7 +19,7 @@
 //!   renders as Prometheus text exposition format or as flat JSON.
 //!
 //! The primitives know nothing about Poptrie: the instrumented crate
-//! (`poptrie` under its `telemetry` feature) declares `static` metrics,
+//! (`poptrie` under its `observe` feature) declares `static` metrics,
 //! increments them from the hot paths, and flushes them into a
 //! [`TelemetryRegistry`] on demand. With the feature off, none of this
 //! crate is linked at all — the zero-cost path is the *absence* of code,

@@ -14,12 +14,12 @@
 //! cargo run --release --example software_router
 //! ```
 //!
-//! With the `telemetry` feature the router also behaves like a production
+//! With the `observe` feature the router also behaves like a production
 //! data plane with a metrics endpoint, dumping the full Prometheus-format
 //! page at shutdown:
 //!
 //! ```text
-//! cargo run --release --features telemetry --example software_router
+//! cargo run --release --features observe --example software_router
 //! ```
 
 use poptrie_suite::poptrie::sync::SharedFib;
@@ -175,7 +175,7 @@ fn main() {
     }
 
     // Shutdown dump: the full metrics page a scraper would have fetched.
-    #[cfg(feature = "telemetry")]
+    #[cfg(feature = "observe")]
     {
         use poptrie_suite::poptrie::telemetry;
         println!("\n# final telemetry (Prometheus text format)");

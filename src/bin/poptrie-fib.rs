@@ -44,7 +44,7 @@ usage:
 options:
   --telemetry   after the command, dump the process-wide lookup/update
                 counters in Prometheus text format (requires a build with
-                --features telemetry)
+                --features observe)
 ";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -115,19 +115,19 @@ fn run(args: &[String]) -> Result<(), String> {
 /// `--telemetry`: dump the process-wide counters the command just drove
 /// (lookup totals, descent-depth histogram, update work) as Prometheus
 /// text.
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "observe")]
 fn dump_telemetry() {
     use poptrie_suite::poptrie::telemetry;
     println!("\n# --telemetry dump (process-wide counters)");
     print!("{}", telemetry::snapshot().render_prometheus());
 }
 
-/// Without the `telemetry` feature the counters are compiled out.
-#[cfg(not(feature = "telemetry"))]
+/// Without the `observe` feature the counters are compiled out.
+#[cfg(not(feature = "observe"))]
 fn dump_telemetry() {
     eprintln!(
         "poptrie-fib: --telemetry requires a build with the counters compiled in:\n  \
-         cargo run --release --features telemetry --bin poptrie-fib -- ..."
+         cargo run --release --features observe --bin poptrie-fib -- ..."
     );
 }
 

@@ -17,19 +17,14 @@
 use poptrie_suite::poptrie::sync::{RouteUpdate, SharedFib};
 use poptrie_suite::poptrie::PoptrieConfig;
 use poptrie_suite::prelude::{Engine, EngineConfig};
-use poptrie_suite::rib::NO_ROUTE;
 use poptrie_suite::tablegen::{churn_stream, ChurnConfig, ChurnEvent};
-use poptrie_suite::{Lpm, NextHop, RadixTree};
+use poptrie_suite::{NextHop, RadixTree};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// One recorded batch: the keys, the next hops the worker produced, and
-/// the snapshot version the lookup ran against.
-type ServedBatch = (Vec<u32>, Vec<NextHop>, u64);
+mod common;
 
-/// One recorded publish: the snapshot version it produced and the
-/// coalesced updates applied to reach it.
-type Publish = (u64, Vec<RouteUpdate<u32>>);
+use common::{Publish, ServedBatch};
 
 fn pcfg() -> PoptrieConfig {
     PoptrieConfig::new()
@@ -197,35 +192,7 @@ fn four_workers_under_churn_are_oracle_exact_and_reconcile() {
     );
 
     // --- oracle replay: every batch is exact for the version it served.
-    // The single writer publishes versions in order; batches (from four
-    // threads) are sorted by version, then the oracle RIB is advanced
-    // through the publish log in lockstep.
-    let mut served = served;
-    served.sort_by_key(|&(_, _, version)| version);
-    let mut publishes = published.iter().peekable();
-    for (keys, out, version) in &served {
-        assert!(*version >= v0, "batch served a pre-engine version");
-        while publishes.peek().is_some_and(|(v, _)| v <= version) {
-            let (_, updates) = publishes.next().unwrap();
-            for u in updates {
-                match *u {
-                    RouteUpdate::Announce(p, nh) => {
-                        oracle.insert(p, nh);
-                    }
-                    RouteUpdate::Withdraw(p) => {
-                        oracle.remove(p);
-                    }
-                }
-            }
-        }
-        for (k, got) in keys.iter().zip(out) {
-            let want = Lpm::lookup(&oracle, *k).unwrap_or(NO_ROUTE);
-            assert_eq!(
-                *got, want,
-                "key {k:#010x} at version {version}: engine said {got}, oracle says {want}"
-            );
-        }
-    }
+    common::assert_version_exact(served, &published, oracle, v0);
 }
 
 /// A worker panic mid-run is isolated: the faulting batch is the only

@@ -20,20 +20,15 @@
 use poptrie_suite::poptrie::sync::{RouteUpdate, SharedFib};
 use poptrie_suite::poptrie::PoptrieConfig;
 use poptrie_suite::prelude::{Engine, EngineConfig, QosPolicy};
-use poptrie_suite::rib::NO_ROUTE;
 use poptrie_suite::tablegen::{churn_stream, ChurnConfig, ChurnEvent};
 use poptrie_suite::traffic::ZipfFlows;
-use poptrie_suite::{Lpm, NextHop, RadixTree};
+use poptrie_suite::{NextHop, RadixTree};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// One recorded served batch: keys, produced next hops, and the snapshot
-/// version the lookup ran against.
-type ServedBatch = (Vec<u32>, Vec<NextHop>, u64);
+mod common;
 
-/// One recorded publish: the version it produced and the coalesced
-/// updates applied to reach it.
-type Publish = (u64, Vec<RouteUpdate<u32>>);
+use common::{Publish, ServedBatch};
 
 const BATCH_KEYS: usize = 64;
 
@@ -207,32 +202,8 @@ fn deadline_drops_account_every_packet_exactly_once_under_churn() {
 
     // --- RIB-oracle spot check: delivered batches are exact for the
     // version they were served against, churn notwithstanding.
-    let mut served = Arc::try_unwrap(served).unwrap().into_inner().unwrap();
+    let served = Arc::try_unwrap(served).unwrap().into_inner().unwrap();
     let published = Arc::try_unwrap(published).unwrap().into_inner().unwrap();
     assert_eq!(served.len() as u64, report.batches, "hook fired per batch");
-    served.sort_by_key(|&(_, _, version)| version);
-    let mut publishes = published.iter().peekable();
-    for (keys, out, version) in &served {
-        assert!(*version >= v0, "batch served a pre-engine version");
-        while publishes.peek().is_some_and(|(v, _)| v <= version) {
-            let (_, updates) = publishes.next().unwrap();
-            for u in updates {
-                match *u {
-                    RouteUpdate::Announce(p, nh) => {
-                        oracle.insert(p, nh);
-                    }
-                    RouteUpdate::Withdraw(p) => {
-                        oracle.remove(p);
-                    }
-                }
-            }
-        }
-        for (k, got) in keys.iter().zip(out) {
-            let want = Lpm::lookup(&oracle, *k).unwrap_or(NO_ROUTE);
-            assert_eq!(
-                *got, want,
-                "key {k:#010x} at version {version}: engine said {got}, oracle says {want}"
-            );
-        }
-    }
+    common::assert_version_exact(served, &published, oracle, v0);
 }

@@ -1,24 +1,32 @@
-//! Differential accounting test for the runtime telemetry layer.
+//! Differential accounting tests for the runtime telemetry layer.
 //!
-//! Runs a fully scripted workload — known numbers of lookups (scalar and
+//! Runs fully scripted workloads — known numbers of lookups (scalar and
 //! batched), announces, withdraws and rebuilds, on both `u32` and `u128`
-//! keys — and asserts the process-wide counters reconcile with the script
-//! *exactly*: no sampling, no slop, every event accounted for once.
+//! keys, and batched lookups on every available dispatch tier — and
+//! asserts the process-wide counters reconcile with the script *exactly*:
+//! no sampling, no slop, every event accounted for once.
 //!
-//! Without `--features telemetry` this file compiles to an empty test
+//! Without `--features observe` this file compiles to an empty test
 //! binary: the counters do not exist, which is itself the property the CI
 //! symbol-absence check asserts on the release artifacts.
 //!
-//! All exact-equality assertions live in ONE `#[test]` function. The
-//! counters are process-global and the harness runs tests in parallel
-//! threads, so a second test in this binary touching a `Poptrie` would
-//! race the totals. Keep it that way.
-#![cfg(feature = "telemetry")]
+//! The counters are process-global and the harness runs tests in
+//! parallel threads, so every test that touches a `Poptrie` holds
+//! [`COUNTERS`] for its whole body; a test that does not would race the
+//! totals. Keep it that way.
+#![cfg(feature = "observe")]
 
 use poptrie_suite::poptrie::sync::SharedFib;
-use poptrie_suite::poptrie::telemetry;
-use poptrie_suite::poptrie::{PoptrieConfig, BATCH_LANES};
+use poptrie_suite::poptrie::telemetry::{self, LookupPhase, DEPTH_BUCKETS};
+use poptrie_suite::poptrie::{BatchBackend, PoptrieConfig, BATCH_LANES};
 use poptrie_suite::{Fib, NextHop, Prefix};
+use std::sync::Mutex;
+
+/// Serializes the tests of this binary: they share the process-wide
+/// counters. It guards no data, and each test resets the counters
+/// first, so a sibling's panic while holding it leaves nothing to
+/// recover.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 fn cfg16() -> PoptrieConfig {
     PoptrieConfig::new()
@@ -80,6 +88,7 @@ impl Script {
 
 #[test]
 fn counters_reconcile_exactly_with_scripted_workload() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::reset();
     let mut script = Script::default();
 
@@ -224,4 +233,81 @@ fn counters_reconcile_exactly_with_scripted_workload() {
     assert_eq!(z.lookups_total(), 0);
     assert_eq!(z.updates_total(), 0);
     assert_eq!(z.depth.iter().sum::<u64>(), 0);
+}
+
+/// Every dispatch tier counts each batched key exactly once, at the depth
+/// `lookup_phase` predicts for it, and accounts its chunks in
+/// `BATCH_LANES`-sized equivalents, so the counters reconcile the same way
+/// whichever walker served the batch.
+#[test]
+fn counters_reconcile_on_every_dispatch_tier() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    // Direct bits 16: the default and the /8 resolve in the direct table,
+    // the /24, /25 and /28 one and two levels below it.
+    let mut fib: Fib<u32> = Fib::with_config(cfg16());
+    for (p, nh) in [
+        ("0.0.0.0/0", 1),
+        ("10.0.0.0/8", 2),
+        ("192.0.2.0/24", 3),
+        ("192.0.2.128/25", 4),
+        ("198.51.100.0/28", 5),
+    ] {
+        fib.insert(p.parse().unwrap(), nh).unwrap();
+    }
+    // Not a multiple of any chunk width, so every tier ends on a partial
+    // chunk.
+    let keys: Vec<u32> = (0..203u32)
+        .map(|i| match i % 4 {
+            0 => 0x0A00_0000 | (i.wrapping_mul(0x9E37_79B9) >> 8), // 10.0.0.0/8
+            1 => 0xC000_0200 | ((i * 7) % 256),                    // 192.0.2.0/24, /25
+            2 => 0xC633_6400 | (i % 32),                           // around the /28
+            _ => i.wrapping_mul(0x9E37_79B9),                      // anywhere
+        })
+        .collect();
+    let mut want = [0u64; DEPTH_BUCKETS];
+    for &k in &keys {
+        match fib.poptrie().lookup_phase(k) {
+            LookupPhase::Direct => want[0] += 1,
+            LookupPhase::Descent(d) => want[d as usize] += 1,
+        }
+    }
+    assert!(want[0] > 0, "the key set has direct hits");
+    assert!(want[2] > 0, "the key set has two-level descents");
+
+    let mut out = vec![0; keys.len()];
+    for tier in [
+        BatchBackend::Scalar,
+        BatchBackend::Avx2,
+        BatchBackend::Avx512,
+    ] {
+        if !tier.is_available() {
+            continue;
+        }
+        let name = tier.name();
+        assert_eq!(fib.set_batch_backend(tier), tier);
+        telemetry::reset();
+        fib.poptrie().lookup_batch(&keys, &mut out);
+        let t = telemetry::snapshot();
+        assert_eq!(t.depth, want, "{name}: depth histogram vs lookup_phase");
+        assert_eq!(
+            t.lookups_batched,
+            keys.len() as u64,
+            "{name}: batched lookups"
+        );
+        assert_eq!(t.lookups_scalar, 0, "{name}: no scalar lookups");
+        assert_eq!(
+            t.batch_fill.iter().sum::<u64>(),
+            t.batch_calls,
+            "{name}: batch fill histogram mass == chunk calls"
+        );
+        assert_eq!(
+            t.batch_fill
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| i as u64 * n)
+                .sum::<u64>(),
+            keys.len() as u64,
+            "{name}: batch fill carries every key once"
+        );
+    }
 }

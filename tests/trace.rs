@@ -1,5 +1,5 @@
-//! End-to-end flight-recorder tests (DESIGN.md §12), compiled only
-//! with `--features trace`.
+//! End-to-end flight-recorder tests (DESIGN.md §7), compiled only
+//! with `--features observe`.
 //!
 //! The ring-level invariants (wraparound, writer-vs-drainer race,
 //! deterministic sampling gate) live in `poptrie-trace`'s own suite;
@@ -10,7 +10,7 @@
 //! deterministic — the same offered batch count yields the same event
 //! count, full or sampled.
 
-#![cfg(feature = "trace")]
+#![cfg(feature = "observe")]
 
 use poptrie::sync::{RouteUpdate, SharedFib};
 use poptrie::PoptrieConfig;

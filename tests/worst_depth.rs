@@ -1,6 +1,6 @@
 //! Regression test: the SLO harness's adversarial worst-depth stream
 //! really does drive lookups to the **maximum** trie depth, observed
-//! through the core depth-histogram telemetry (`--features telemetry`).
+//! through the core depth-histogram telemetry (`--features observe`).
 //!
 //! [`WorstDepth`] synthesizes its pool from the installed table's
 //! longest-match chains (binary-radix depth). This test checks the
@@ -17,7 +17,7 @@
 //! binary gives it exclusive ownership of the counters, so the
 //! reset/observe sequences below cannot race with a sibling test.
 
-#![cfg(feature = "telemetry")]
+#![cfg(feature = "observe")]
 
 use poptrie_suite::poptrie::telemetry;
 use poptrie_suite::poptrie::{Fib, PoptrieConfig};
