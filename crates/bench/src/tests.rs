@@ -1,4 +1,5 @@
 use crate::algorithms::{build_all_v4, Algo, BuildOutcome};
+use crate::artifact::{append_history, last_comparable, write_artifact};
 use crate::measure::{
     batched_cycles_per_lookup, cycle_samples, mean_std, measure_mlps, measure_mlps_batch,
     measure_mlps_keys, measure_mlps_keys_batch, MeasureConfig,
@@ -6,6 +7,8 @@ use crate::measure::{
 use crate::report::{mean_std_cell, mib, Table};
 use poptrie_rib::Lpm;
 use poptrie_tablegen::{TableKind, TableSpec};
+use poptrie_telemetry::json;
+use poptrie_telemetry::json::Json;
 
 fn small_dataset() -> poptrie_tablegen::Dataset {
     TableSpec {
@@ -118,4 +121,80 @@ fn csv_rendering() {
 fn format_helpers() {
     assert_eq!(mib(2 * 1024 * 1024), "2.00");
     assert_eq!(mean_std_cell((198.276, 5.29)), "198.28 (5.29)");
+}
+
+/// One SLO history entry as `repro slo` appends it.
+fn history_entry(threads: u64, agg_mlps: f64) -> Json {
+    json!({
+        "ts": 1, "quick": true, "dataset": "RV-sydney-p0", "threads": threads,
+        "agg_mlps": agg_mlps,
+    })
+}
+
+/// The `agg_mlps` of the last entry of `history` comparable with a run
+/// on `threads`, matched as `repro slo` matches.
+fn previous_mlps(history: &str, threads: u64) -> Option<f64> {
+    let probe = history_entry(threads, 0.0);
+    let entry = last_comparable(history, &probe, &["quick", "dataset", "threads"])?;
+    entry.get("agg_mlps")?.as_f64()
+}
+
+#[test]
+fn history_matches_threads_exactly() {
+    // A `--threads 2` run must not compare against a 24-thread entry,
+    // although `"threads": 2` is a prefix of `"threads": 24`.
+    let history = format!("{}\n{}\n", history_entry(2, 5.0), history_entry(24, 50.0));
+    assert_eq!(previous_mlps(&history, 2), Some(5.0));
+    assert_eq!(previous_mlps(&history, 24), Some(50.0));
+    assert_eq!(previous_mlps(&history, 4), None);
+}
+
+#[test]
+fn history_skips_a_torn_last_line() {
+    let whole = history_entry(2, 5.0).to_string();
+    let torn = &history_entry(2, 7.0).to_string()[..40];
+    let history = format!("{whole}\n{torn}");
+    assert_eq!(previous_mlps(&history, 2), Some(5.0));
+
+    // Appending after the torn line starts a fresh, parseable line.
+    let dir = fresh_temp_dir("history");
+    let path = dir.join("history.jsonl");
+    std::fs::write(&path, &history).unwrap();
+    append_history(&path, &json!({"threads": 2})).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text.lines().last(), Some(r#"{"threads": 2}"#));
+    assert_eq!(text.lines().count(), 3);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn artifacts_are_checked_as_read_back() {
+    let dir = fresh_temp_dir("artifact");
+    let path = dir.join("sub").join("BENCH_x.json");
+    let doc = json!({
+        "source": "a \"quoted\" path", "overhead_pct": f64::NAN,
+        "cells": vec![json!({"p99_ns": 3})],
+    });
+    let landed = write_artifact(&path, &doc, &["/source", "/cells/0/p99_ns"]).unwrap();
+    assert_eq!(
+        landed.pointer("/cells/0/p99_ns").and_then(Json::as_u64),
+        Some(3)
+    );
+    assert_eq!(landed.get("overhead_pct"), Some(&Json::Null));
+    assert_eq!(
+        Json::parse(&std::fs::read_to_string(&path).unwrap()).as_ref(),
+        Ok(&landed)
+    );
+    let err = write_artifact(&path, &doc, &["/cells/1"]).unwrap_err();
+    assert!(err.contains("/cells/1"), "{err}");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A fresh directory under the system temp dir, unique to this process
+/// and `tag`.
+fn fresh_temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("poptrie-bench-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }

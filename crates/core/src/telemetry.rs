@@ -561,8 +561,8 @@ impl TelemetrySnapshot {
         self.registry().render_prometheus()
     }
 
-    /// Render as a flat JSON object.
-    pub fn render_json(&self) -> String {
+    /// The metrics as one flat JSON object.
+    pub fn render_json(&self) -> poptrie_telemetry::json::Json {
         self.registry().render_json()
     }
 }

@@ -175,7 +175,6 @@ pub enum UpdateStrategy {
 /// slots), so under steady churn each `*_allocated` counter tracks its
 /// `*_freed` twin and the gap between them is the structure's net growth.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UpdateStats {
     /// Route updates applied (inserts + removes that changed the RIB).
     /// Re-announcements of an unchanged next hop do not count.
@@ -210,22 +209,6 @@ impl UpdateStats {
             leaves_allocated: self.leaves_allocated - earlier.leaves_allocated,
             leaves_freed: self.leaves_freed - earlier.leaves_freed,
         }
-    }
-
-    /// Render as a flat JSON object (stable field order). Available
-    /// without the `serde` feature so offline builds can still emit
-    /// machine-readable stats.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{ \"updates\": {}, \"direct_replacements\": {}, \"nodes_allocated\": {}, \
-             \"nodes_freed\": {}, \"leaves_allocated\": {}, \"leaves_freed\": {} }}",
-            self.updates,
-            self.direct_replacements,
-            self.nodes_allocated,
-            self.nodes_freed,
-            self.leaves_allocated,
-            self.leaves_freed,
-        )
     }
 }
 

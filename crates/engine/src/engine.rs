@@ -650,6 +650,17 @@ impl LatencySummary {
     }
 }
 
+/// The artifact form of a latency summary: one object, field for field.
+impl From<&LatencySummary> for poptrie_telemetry::json::Json {
+    fn from(l: &LatencySummary) -> Self {
+        poptrie_telemetry::json!({
+            "samples": l.samples, "mean_ns": l.mean_ns, "p50_ns": l.p50_ns,
+            "p99_ns": l.p99_ns, "p999_ns": l.p999_ns, "mean_cycles": l.mean_cycles,
+            "p50_cycles": l.p50_cycles, "p99_cycles": l.p99_cycles, "p999_cycles": l.p999_cycles,
+        })
+    }
+}
+
 /// Final accounting for one worker, from [`EngineReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerReport {

@@ -16,7 +16,9 @@
 //! * [`Log2Histogram`] — power-of-two buckets plus a sum, for latency
 //!   distributions in TSC cycles (§4.9's update cost);
 //! * [`TelemetryRegistry`] — a materialized snapshot of metric values that
-//!   renders as Prometheus text exposition format or as flat JSON.
+//!   renders as Prometheus text exposition format or as flat JSON;
+//! * [`json::Json`] — the one JSON value type every artifact of the
+//!   workspace is built, rendered and re-read through.
 //!
 //! The primitives know nothing about Poptrie: the instrumented crate
 //! (`poptrie` under its `observe` feature) declares `static` metrics,
@@ -37,6 +39,7 @@
 #![warn(missing_debug_implementations)]
 
 mod counters;
+pub mod json;
 mod registry;
 
 pub use counters::{CachePadded, Counter, Gauge, Histogram, Log2Histogram, LOG2_BUCKETS, SHARDS};

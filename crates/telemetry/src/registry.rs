@@ -7,6 +7,9 @@
 //! (and of any dependency), at the cost of the caller enumerating its
 //! metrics explicitly — which it must do anyway to document them.
 
+use crate::json;
+use crate::json::Json;
+
 /// The value of a single metric sample.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
@@ -145,142 +148,82 @@ impl TelemetryRegistry {
         let mut out = String::new();
         let mut seen: Vec<&str> = Vec::new();
         for m in &self.metrics {
-            if !seen.contains(&m.name.as_str()) {
-                seen.push(&m.name);
-                out.push_str(&format!("# HELP {} {}\n", m.name, m.help));
+            let (name, labels) = (&m.name, label_set(&m.labels, None));
+            if !seen.contains(&name.as_str()) {
+                seen.push(name);
                 let ty = match m.value {
                     MetricValue::Counter(_) => "counter",
                     MetricValue::Gauge(_) => "gauge",
                     MetricValue::Histogram { .. } => "histogram",
                 };
-                out.push_str(&format!("# TYPE {} {}\n", m.name, ty));
+                out += &format!("# HELP {name} {}\n# TYPE {name} {ty}\n", m.help);
             }
             match &m.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!("{}{} {}\n", m.name, label_set(&m.labels, None), v));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!(
-                        "{}{} {}\n",
-                        m.name,
-                        label_set(&m.labels, None),
-                        fmt_f64(*v)
-                    ));
-                }
+                MetricValue::Counter(v) => out += &format!("{name}{labels} {v}\n"),
+                MetricValue::Gauge(v) => out += &format!("{name}{labels} {}\n", fmt_f64(*v)),
                 MetricValue::Histogram {
                     buckets,
                     count,
                     sum,
                 } => {
-                    for &(bound, cumulative) in buckets {
-                        out.push_str(&format!(
-                            "{}_bucket{} {}\n",
-                            m.name,
-                            label_set(&m.labels, Some(&fmt_f64(bound))),
-                            cumulative
-                        ));
+                    let le = buckets.iter().map(|&(bound, n)| (fmt_f64(bound), n));
+                    for (le, n) in le.chain([("+Inf".to_string(), *count)]) {
+                        let bucket_labels = label_set(&m.labels, Some(&le));
+                        out += &format!("{name}_bucket{bucket_labels} {n}\n");
                     }
-                    out.push_str(&format!(
-                        "{}_bucket{} {}\n",
-                        m.name,
-                        label_set(&m.labels, Some("+Inf")),
-                        count
-                    ));
-                    out.push_str(&format!(
-                        "{}_sum{} {}\n",
-                        m.name,
-                        label_set(&m.labels, None),
-                        fmt_f64(*sum)
-                    ));
-                    out.push_str(&format!(
-                        "{}_count{} {}\n",
-                        m.name,
-                        label_set(&m.labels, None),
-                        count
-                    ));
+                    out += &format!("{name}_sum{labels} {}\n", fmt_f64(*sum));
+                    out += &format!("{name}_count{labels} {count}\n");
                 }
             }
         }
         out
     }
 
-    /// Render as a flat JSON object: one key per sample, labels folded
-    /// into the key as `name{k=v,...}`; histograms become objects with
-    /// `buckets` (upper bound → cumulative count), `count` and `sum`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, m) in self.metrics.iter().enumerate() {
+    /// The samples as one flat JSON object: one key per sample, labels
+    /// folded into the key as `name{k=v,...}`; histograms become objects
+    /// with `buckets` (upper bound → cumulative count), `count` and `sum`.
+    pub fn render_json(&self) -> Json {
+        let fields = self.metrics.iter().map(|m| {
             let mut key = m.name.clone();
             if !m.labels.is_empty() {
-                key.push('{');
-                for (j, (k, v)) in m.labels.iter().enumerate() {
-                    if j > 0 {
-                        key.push(',');
-                    }
-                    key.push_str(&format!("{}={}", k, v));
-                }
-                key.push('}');
+                let labels: Vec<String> =
+                    m.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                key = format!("{key}{{{}}}", labels.join(","));
             }
-            out.push_str(&format!("  \"{}\": ", json_escape(&key)));
-            match &m.value {
-                MetricValue::Counter(v) => out.push_str(&v.to_string()),
-                MetricValue::Gauge(v) => out.push_str(&fmt_f64(*v)),
+            let value = match &m.value {
+                MetricValue::Counter(v) => Json::from(*v),
+                MetricValue::Gauge(v) => Json::from(*v),
                 MetricValue::Histogram {
                     buckets,
                     count,
                     sum,
-                } => {
-                    out.push_str("{ \"buckets\": {");
-                    for (j, &(bound, cumulative)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!(
-                            "\"{}\": {}",
-                            json_escape(&fmt_f64(bound)),
-                            cumulative
-                        ));
-                    }
-                    out.push_str(&format!(
-                        "}}, \"count\": {}, \"sum\": {} }}",
-                        count,
-                        fmt_f64(*sum)
-                    ));
-                }
-            }
-            if i + 1 < self.metrics.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("}\n");
-        out
+                } => json!({
+                    "buckets": Json::Object(
+                        buckets.iter().map(|&(b, n)| (fmt_f64(b), Json::from(n))).collect()
+                    ),
+                    "count": *count, "sum": *sum,
+                }),
+            };
+            (key, value)
+        });
+        Json::Object(fields.collect())
     }
 }
 
 /// Format a label set, optionally with an extra `le` label (for histogram
 /// buckets). Returns the empty string when there are no labels at all.
 fn label_set(labels: &[(String, String)], le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
+    let pairs: Vec<String> = labels
+        .iter()
+        .map(|(k, v)| (k.as_str(), prom_escape(v)))
+        .chain(le.map(|le| ("le", le.to_string())))
+        .map(|(k, v)| format!("{k}=\"{v}\""))
+        .collect();
+    if pairs.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", pairs.join(","))
     }
-    let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("{}=\"{}\"", k, prom_escape(v)));
-    }
-    if let Some(le) = le {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(&format!("le=\"{}\"", le));
-    }
-    out.push('}');
-    out
 }
 
 /// Format an f64 the way Prometheus expects: integers without a trailing
@@ -298,21 +241,4 @@ fn prom_escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-/// Escape a JSON string value.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

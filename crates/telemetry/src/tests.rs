@@ -1,4 +1,6 @@
 use super::*;
+use crate::json;
+use crate::json::{Json, ParseError};
 
 #[test]
 fn counter_sums_across_threads() {
@@ -275,13 +277,13 @@ fn registry_renders_json() {
     reg.counter("a_total", "h", &[("k", "v")], 2)
         .gauge("b", "h", &[], 0.5)
         .histogram("c", "h", &[], &[(1.0, 1), (2.0, 2)], 4.0);
-    let json = reg.render_json();
-    assert!(json.contains("\"a_total{k=v}\": 2"));
-    assert!(json.contains("\"b\": 0.5"));
-    assert!(json.contains("\"count\": 3"));
-    assert!(json.contains("\"sum\": 4"));
-    // Balanced braces as a cheap well-formedness check.
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    // Through the rendered text, as the artifact is read back.
+    let json = Json::parse(&reg.render_json().to_string()).unwrap();
+    assert_eq!(json.get("a_total{k=v}").and_then(Json::as_u64), Some(2));
+    assert_eq!(json.get("b").and_then(Json::as_f64), Some(0.5));
+    assert_eq!(json.pointer("/c/count").and_then(Json::as_u64), Some(3));
+    assert_eq!(json.pointer("/c/sum").and_then(Json::as_f64), Some(4.0));
+    assert_eq!(json.pointer("/c/buckets/2").and_then(Json::as_u64), Some(3));
 }
 
 #[test]
@@ -314,4 +316,128 @@ fn registry_merge_appends_in_order() {
     assert!(text.contains("poptrie_lookups_total 10"));
     assert!(text.contains("poptrie_engine_packets_total 20"));
     assert!(text.contains("poptrie_bgp_updates_total 30"));
+}
+
+#[test]
+fn json_non_finite_floats_render_as_null() {
+    for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(Json::from(v).to_string(), "null");
+    }
+    let doc = json!({"overhead_pct": f64::NAN, "ok": 1.5});
+    let back = Json::parse(&doc.to_string()).unwrap();
+    assert_eq!(back.get("overhead_pct"), Some(&Json::Null));
+    assert_eq!(back.get("ok"), Some(&Json::F64(1.5)));
+}
+
+#[test]
+fn json_strings_round_trip_escapes() {
+    let nasty = "a\"b\\c\n\r\t\u{1}\u{1f}/é\u{1F600}";
+    let text = Json::from(nasty).to_string();
+    assert!(!text.contains('\n'), "control characters are escaped");
+    assert_eq!(Json::parse(&text), Ok(Json::from(nasty)));
+    // A path with a quote in it, as `--mrt` may pass.
+    let doc = json!({"source": "dir/\"x\".bgp4mp"});
+    let back = Json::parse(&doc.to_string()).unwrap();
+    assert_eq!(
+        back.get("source").and_then(Json::as_str),
+        Some("dir/\"x\".bgp4mp")
+    );
+    // Escapes written by other encoders, surrogate pairs included.
+    assert_eq!(
+        Json::parse(r#""\u00e9\ud83d\ude00\/\b\f""#),
+        Ok(Json::from("é\u{1F600}/\u{8}\u{c}"))
+    );
+}
+
+#[test]
+fn json_integers_are_exact() {
+    for v in [Json::U64(u64::MAX), Json::I64(i64::MIN), Json::U64(0)] {
+        assert_eq!(Json::parse(&v.to_string()), Ok(v));
+    }
+    assert_eq!(
+        Json::parse("18446744073709551615").unwrap().as_u64(),
+        Some(u64::MAX)
+    );
+    // Beyond u64 an integer can only be approximate.
+    assert_eq!(
+        Json::parse("18446744073709551616"),
+        Ok(Json::F64(18446744073709551616.0))
+    );
+    // A float keeps its kind through a round trip, even when integral.
+    assert_eq!(Json::parse(&Json::F64(4.0).to_string()), Ok(Json::F64(4.0)));
+}
+
+#[test]
+fn json_round_trips_nested_documents() {
+    let doc = json!({
+        "experiment": "slo", "quick": true, "none": Json::Null,
+        "cells": vec![json!({"p99_ns": 7}), json!({})],
+        "empty": Vec::<u64>::new(), "neg": -3,
+    });
+    let text = doc.to_string();
+    assert!(
+        text.contains("\"quick\": true"),
+        "`\"key\": value` separators"
+    );
+    assert_eq!(Json::parse(&text), Ok(doc.clone()));
+    assert_eq!(Json::parse(&format!(" \n{text}\n ")), Ok(doc.clone()));
+    assert_eq!(doc.pointer("/cells/0/p99_ns"), Some(&Json::U64(7)));
+    assert_eq!(doc.pointer("/cells/2"), None);
+    assert_eq!(doc.pointer("/cells/x"), None);
+    assert_eq!(doc.pointer(""), Some(&doc));
+    assert_eq!(doc.pointer("cells"), None, "a path starts with '/'");
+}
+
+#[test]
+fn json_bad_input_is_an_error_not_a_panic() {
+    let good = json!({"s": "a\u{e9}\"", "n": vec![1.5, -2.0e-7], "t": true}).to_string();
+    // Every truncation of a valid document is refused.
+    for end in 0..good.len() {
+        if good.is_char_boundary(end) {
+            assert!(Json::parse(&good[..end]).is_err(), "{:?}", &good[..end]);
+        }
+    }
+    for garbage in [
+        "",
+        " ",
+        "nul",
+        "tru",
+        "{",
+        "}",
+        "[1,]",
+        "[1 2]",
+        "{\"a\" 1}",
+        "{1: 2}",
+        "{\"a\": 1,}",
+        "01",
+        "-",
+        "1.",
+        "1e",
+        ".5",
+        "+1",
+        "NaN",
+        "inf",
+        "\"\\x\"",
+        "\"\\u12\"",
+        "\"\\u+123\"",
+        "\"\\ud800\"",
+        "\"\\ud800\\u0041\"",
+        "\"\u{1}\"",
+        "1 2",
+        "[]]",
+        "\u{0}",
+        "\"\\u12\u{e9}\"",
+        "\"\\u\u{1F600}\"",
+    ] {
+        assert!(Json::parse(garbage).is_err(), "{garbage:?}");
+    }
+    // Nesting is bounded instead of overflowing the stack.
+    let deep = "[".repeat(100_000);
+    assert_eq!(
+        Json::parse(&deep).map_err(|e: ParseError| e.msg),
+        Err("nesting too deep")
+    );
+    let err = Json::parse("[1, x]").unwrap_err();
+    assert_eq!(err.at, 4);
+    assert_eq!(err.to_string(), "expected a value at byte 4");
 }

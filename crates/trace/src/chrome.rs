@@ -15,6 +15,8 @@
 
 use crate::event::{unpack_worker_tier, EventKind, TraceEvent};
 use crate::ring::RingSnapshot;
+use poptrie_telemetry::json;
+use poptrie_telemetry::json::Json;
 
 /// Human names for the dispatch-tier codes packed into lookup events.
 fn tier_name(tier: u32) -> &'static str {
@@ -25,29 +27,9 @@ fn tier_name(tier: u32) -> &'static str {
     }
 }
 
-fn push_common(out: &mut String, name: &str, ph: char, tid: usize, ts_ns: u64) {
-    out.push_str("{\"name\":\"");
-    out.push_str(name);
-    out.push_str("\",\"ph\":\"");
-    out.push(ph);
-    out.push_str("\",\"pid\":1,\"tid\":");
-    out.push_str(&tid.to_string());
-    out.push_str(",\"ts\":");
-    out.push_str(&format!("{:.3}", ts_ns as f64 / 1_000.0));
-}
-
-fn push_args(out: &mut String, pairs: &[(&str, u64)]) {
-    out.push_str(",\"args\":{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(k);
-        out.push_str("\":");
-        out.push_str(&v.to_string());
-    }
-    out.push('}');
+/// Nanoseconds as the format's microseconds.
+fn us(ns: u64) -> f64 {
+    ns as f64 / 1_000.0
 }
 
 /// The event name emitted for each kind. These literals exist only in
@@ -68,69 +50,34 @@ fn kind_name(kind: EventKind) -> &'static str {
     }
 }
 
-fn emit_instant(out: &mut String, ev: &TraceEvent, kind: EventKind, tid: usize) {
-    push_common(out, kind_name(kind), 'i', tid, ev.ts_ns);
-    out.push_str(",\"s\":\"t\"");
-    match kind {
-        EventKind::IngressEnqueue => {
-            let (worker, _) = unpack_worker_tier(ev.aux);
-            push_args(out, &[("packets", ev.arg), ("worker", worker as u64)]);
-        }
-        EventKind::BatchDequeue => {
-            let (worker, _) = unpack_worker_tier(ev.aux);
-            push_args(out, &[("wait_ns", ev.arg), ("worker", worker as u64)]);
-        }
-        EventKind::WriterBurst => {
-            push_args(out, &[("events", ev.arg), ("coalesced", ev.aux as u64)]);
-        }
-        EventKind::UpdateApply => {
-            push_args(out, &[("span", ev.span), ("version", ev.arg)]);
-        }
-        EventKind::ReplicaPublish => {
-            push_args(out, &[("version", ev.arg), ("replica", ev.aux as u64)]);
-        }
-        EventKind::SnapshotAdopt => {
-            let (worker, replica) = unpack_worker_tier(ev.aux);
-            push_args(
-                out,
-                &[
-                    ("version", ev.arg),
-                    ("worker", worker as u64),
-                    ("replica", replica as u64),
-                ],
-            );
-        }
-        EventKind::SpanAccept => {
-            push_args(out, &[("span", ev.span), ("routes", ev.arg)]);
-        }
-        EventKind::BgpTransition => {
-            push_args(out, &[("to", ev.arg), ("from", ev.aux as u64)]);
-        }
+fn instant(ev: &TraceEvent, kind: EventKind, tid: usize) -> Json {
+    let ((worker, low), aux) = (unpack_worker_tier(ev.aux), ev.aux);
+    let args = match kind {
+        EventKind::IngressEnqueue => json!({"packets": ev.arg, "worker": worker}),
+        EventKind::BatchDequeue => json!({"wait_ns": ev.arg, "worker": worker}),
+        EventKind::WriterBurst => json!({"events": ev.arg, "coalesced": aux}),
+        EventKind::UpdateApply => json!({"span": ev.span, "version": ev.arg}),
+        EventKind::ReplicaPublish => json!({"version": ev.arg, "replica": aux}),
+        EventKind::SnapshotAdopt => json!({"version": ev.arg, "worker": worker, "replica": low}),
+        EventKind::SpanAccept => json!({"span": ev.span, "routes": ev.arg}),
+        EventKind::BgpTransition => json!({"to": ev.arg, "from": aux}),
         EventKind::LookupStart | EventKind::LookupEnd => unreachable!("folded into slices"),
-    }
-    out.push('}');
+    };
+    json!({
+        "name": kind_name(kind), "ph": "i", "pid": 1, "tid": tid, "ts": us(ev.ts_ns),
+        "s": "t", "args": args,
+    })
 }
 
-/// Render drained rings as one Chrome trace-event JSON document.
-pub fn chrome_trace_json(rings: &[RingSnapshot]) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if first {
-            first = false;
-        } else {
-            out.push(',');
-        }
-    };
+/// Drained rings as one Chrome trace-event JSON document.
+pub fn chrome_trace_json(rings: &[RingSnapshot]) -> Json {
+    let mut events = Vec::new();
     for (tid, ring) in rings.iter().enumerate() {
         let tid = tid + 1;
-        sep(&mut out);
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            ring.name
-        ));
+        events.push(json!({
+            "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
+            "args": json!({"name": ring.name.as_str()}),
+        }));
         // Fold Start/End pairs into complete slices; a Start without
         // its End (overwritten, or sampling raced the drain) degrades
         // to an instant-free skip rather than a malformed slice.
@@ -144,32 +91,20 @@ pub fn chrome_trace_json(rings: &[RingSnapshot]) -> String {
                 EventKind::LookupEnd => {
                     if let Some(start) = pending_start.take() {
                         let (worker, tier) = unpack_worker_tier(ev.aux);
-                        sep(&mut out);
-                        push_common(&mut out, kind_name(kind), 'X', tid, start.ts_ns);
-                        out.push_str(&format!(
-                            ",\"dur\":{:.3},\"cat\":\"{}\"",
-                            ev.ts_ns.saturating_sub(start.ts_ns) as f64 / 1_000.0,
-                            tier_name(tier)
-                        ));
-                        push_args(
-                            &mut out,
-                            &[
-                                ("keys", start.arg),
-                                ("service_ns", ev.arg),
-                                ("worker", worker as u64),
-                                ("tier", tier as u64),
-                            ],
-                        );
-                        out.push('}');
+                        events.push(json!({
+                            "name": kind_name(kind), "ph": "X", "pid": 1, "tid": tid,
+                            "ts": us(start.ts_ns), "dur": us(ev.ts_ns.saturating_sub(start.ts_ns)),
+                            "cat": tier_name(tier),
+                            "args": json!({
+                                "keys": start.arg, "service_ns": ev.arg,
+                                "worker": worker, "tier": tier,
+                            }),
+                        }));
                     }
                 }
-                other => {
-                    sep(&mut out);
-                    emit_instant(&mut out, ev, other, tid);
-                }
+                other => events.push(instant(ev, other, tid)),
             }
         }
     }
-    out.push_str("]}");
-    out
+    json!({"displayTimeUnit": "ns", "traceEvents": events})
 }

@@ -2,6 +2,7 @@
 //! drainer-vs-writer racing, sampling determinism, export shapes.
 
 use super::*;
+use poptrie_telemetry::json::Json;
 
 #[test]
 fn event_words_round_trip() {
@@ -180,20 +181,38 @@ fn chrome_export_folds_lookup_slices() {
         7,
         pack_worker_tier(0, 0),
     );
-    let json = chrome_trace_json(&rec.drain());
-    assert!(json.starts_with('{') && json.ends_with('}'));
-    assert!(json.contains("\"traceEvents\":["));
-    assert!(json.contains("trace/lookup_batch"));
-    assert!(json.contains("\"ph\":\"X\""), "slice event present");
-    assert!(json.contains("\"dur\":1.000"), "1000ns = 1.000us duration");
-    assert!(json.contains("\"cat\":\"avx2\""));
-    assert!(json.contains("trace/snapshot_adopt"));
-    assert!(json.contains("\"name\":\"worker0\""), "thread metadata");
-    // Bracket balance — the repro harness validates the real file the
-    // same way.
-    let opens = json.matches(['{', '[']).count();
-    let closes = json.matches(['}', ']']).count();
-    assert_eq!(opens, closes);
+    // Through the rendered text, as the artifact is read back.
+    let json = Json::parse(&chrome_trace_json(&rec.drain()).to_string()).unwrap();
+    let events = json
+        .pointer("/traceEvents")
+        .and_then(Json::as_array)
+        .unwrap();
+    let named = |name: &str| {
+        events
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no {name} event"))
+    };
+    let slice = named("trace/lookup_batch");
+    assert_eq!(
+        slice.get("ph").and_then(Json::as_str),
+        Some("X"),
+        "slice event present"
+    );
+    assert_eq!(
+        slice.get("dur").and_then(Json::as_f64),
+        Some(1.0),
+        "1000ns = 1.000us duration"
+    );
+    assert_eq!(slice.get("cat").and_then(Json::as_str), Some("avx2"));
+    named("trace/snapshot_adopt");
+    assert_eq!(
+        named("thread_name")
+            .pointer("/args/name")
+            .and_then(Json::as_str),
+        Some("worker0"),
+        "thread metadata"
+    );
 }
 
 #[test]
