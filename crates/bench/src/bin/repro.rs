@@ -187,7 +187,7 @@ experiments: table1 table2 table3 table4 table5 table6
              trace    flight-recorder run (requires building with
                       --features observe): per-lookup-phase perf-counter
                       attribution (direct-point hit vs trie descent, per
-                      dispatch tier), a BGP->writer->replica->lookup
+                      dispatch tier), a BGP->writer->publish->lookup
                       convergence-span replay exported as Perfetto-
                       loadable Chrome trace JSON
                       (results/BENCH_trace_events.json), and the
@@ -937,8 +937,7 @@ fn fig10_live(ctx: &mut Ctx, threads: usize, churn: bool) {
 
     // Dispatch-tier comparison on identical table and traffic: the
     // scalar batched walker against the widest SIMD tier this CPU runs.
-    // The backend is forced on the FIB before the engine starts so the
-    // engine's NUMA replicas inherit it.
+    // The backend is forced on the FIB before the engine starts.
     let widest = poptrie::BatchBackend::widest_available();
     let backends: Vec<poptrie::BatchBackend> = if widest == poptrie::BatchBackend::Scalar {
         vec![widest]
@@ -1001,7 +1000,7 @@ fn fig10_live(ctx: &mut Ctx, threads: usize, churn: bool) {
                 "update_events": report.update_events,
                 "updates_coalesced": report.updates_coalesced,
                 "control_dropped": report.control_dropped, "respawns": respawns,
-                "fib_version": version, "fib_replicas": report.fib_replicas,
+                "fib_version": version,
                 "drained_clean": report.drained_clean,
             }));
         }
@@ -2597,11 +2596,11 @@ fn batch(ctx: &mut Ctx) {
 ///    split of the live lookup counters — a mismatch means the
 ///    instrumentation lies, and exits nonzero.
 /// 2. **Convergence spans.** A BGP session replays a synthetic UPDATE
-///    trace into a recorder-equipped engine (2 NUMA replicas); every
-///    accepted span must surface as writer apply, per-replica publish
-///    and a worker snapshot adoption covering its version. The drained
-///    rings export as Chrome trace-event JSON
-///    (`results/BENCH_trace_events.json`, loadable in Perfetto).
+///    trace into a recorder-equipped engine; every accepted span must
+///    surface as writer apply, a publish of its version and a worker
+///    snapshot adoption covering it. The drained rings export as Chrome
+///    trace-event JSON (`results/BENCH_trace_events.json`, loadable in
+///    Perfetto).
 /// 3. **Overhead.** The same lookup workload runs with the recorder
 ///    absent and attached at 1-in-64 sampling; the throughput delta is
 ///    the price of leaving the recorder on.
@@ -2763,7 +2762,6 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
         sample: 1,
     });
     let bgp_ring = rec.register("bgp");
-    let replicas = 2usize;
     let span_fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::compile(RadixTree::new(), pcfg));
     let engine = Engine::start(
         Arc::clone(&span_fib),
@@ -2771,7 +2769,6 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
             .pin_workers(false)
             .control_capacity(8192)
             .coalesce_window(64)
-            .numa_replicas(replicas)
             .recorder(rec.clone()),
     );
     let control = engine.control();
@@ -2865,7 +2862,7 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     std::thread::sleep(Duration::from_millis(20));
     stop.store(true, Ordering::Relaxed);
     feeder.join().expect("feeder panicked");
-    let span_report = engine.shutdown(Duration::from_secs(30));
+    engine.shutdown(Duration::from_secs(30));
 
     let rings = rec.drain();
     let (mut recorded, mut overwritten, mut sampled_out) = (0u64, 0u64, 0u64);
@@ -2876,8 +2873,8 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     }
     let mut accepted: HashSet<u64> = HashSet::new();
     let mut applied: HashMap<u64, u64> = HashMap::new();
+    let mut published: HashSet<u64> = HashSet::new();
     let mut adopted_max = 0u64;
-    let mut replica_publishes = 0u64;
     for ring in &rings {
         for ev in &ring.events {
             match ev.event_kind() {
@@ -2887,20 +2884,23 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
                 Some(EventKind::UpdateApply) => {
                     applied.insert(ev.span, ev.arg);
                 }
-                Some(EventKind::ReplicaPublish) => replica_publishes += 1,
+                Some(EventKind::Publish) => {
+                    published.insert(ev.arg);
+                }
                 Some(EventKind::SnapshotAdopt) => adopted_max = adopted_max.max(ev.arg),
                 _ => {}
             }
         }
     }
     let applied_of_accepted = accepted.iter().filter(|s| applied.contains_key(s)).count();
+    let publishes = published.len();
     let served = applied.values().filter(|&&v| v <= adopted_max).count();
+    let unpublished = applied.values().filter(|v| !published.contains(v)).count();
     println!(
         "[trace] spans: {spans_allocated} allocated, {} accepted, {applied_of_accepted} applied, \
          {served} covered by an adopted snapshot (max adopted version {adopted_max}, \
-         {replica_publishes} replica publishes over {} replicas)",
-        accepted.len(),
-        span_report.fib_replicas
+         {publishes} publishes, {unpublished} applied versions without one)",
+        accepted.len()
     );
     println!(
         "[trace] rings: {} rings, {recorded} events recorded, {overwritten} overwritten, \
@@ -2913,6 +2913,7 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
     if overwritten == 0 {
         let complete = accepted.len() as u64 == spans_allocated
             && applied_of_accepted == accepted.len()
+            && unpublished == 0
             && served == applied.len();
         println!(
             "[trace] span continuity (accept -> apply -> publish -> adopt): {}",
@@ -3007,7 +3008,7 @@ fn trace_cmd(ctx: &mut Ctx, threads: usize) {
         "spans": json!({
             "allocated": spans_allocated, "accepted": accepted.len(),
             "applied": applied_of_accepted, "served": served,
-            "replicas": span_report.fib_replicas, "replica_publishes": replica_publishes,
+            "publishes": publishes,
             "routes": accepted_routes,
         }),
         "events": json!({

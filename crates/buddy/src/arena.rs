@@ -3,8 +3,8 @@
 //! A single [`Buddy`] assumes one owner. The multi-tenant VRF layer needs
 //! many `Poptrie` instances (and the cross-tenant leaf interner) to carve
 //! blocks out of *one* arena so their storage packs into one contiguous
-//! backing array — the prerequisite for cross-VRF leaf sharing and for
-//! per-NUMA-node replica arenas. This module splits ownership in two:
+//! backing array — the prerequisite for cross-VRF leaf sharing. This
+//! module splits ownership in two:
 //!
 //! * [`ArenaOwner`] — constructs the arena and decides its growth policy
 //!   (growable, or fixed-capacity for arenas whose backing store cannot

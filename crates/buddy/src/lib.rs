@@ -384,53 +384,5 @@ impl Buddy {
     }
 }
 
-pub mod first_touch {
-    //! First-touch page placement for the arrays a [`Buddy`](super::Buddy)
-    //! manages.
-    //!
-    //! On a NUMA machine, Linux physically places an anonymous page on
-    //! the memory node of the thread that *first writes* it — not the
-    //! thread that called the allocator. The poptrie node and leaf
-    //! arrays are read millions of times per second by pinned workers,
-    //! so the thread that grows them (the control-plane writer, or a
-    //! replica-building thread pinned to the target socket) must fault
-    //! every fresh page in itself, or the pages land wherever the kernel
-    //! zero-page machinery happens to run.
-    //!
-    //! [`grow`] makes that guarantee explicit: it reserves the exact new
-    //! capacity, writes one element into every page of the *spare*
-    //! capacity (a plain `Vec::resize` initializes only `..len`, leaving
-    //! rounded-up capacity tail pages untouched for some later thread to
-    //! fault), then resizes. On a single-node machine it degrades to an
-    //! ordinary resize plus a handful of redundant stores.
-
-    /// Smallest page size assumed for placement (4 KiB); touching at
-    /// this stride also covers huge-page backed regions (every 4 KiB
-    /// store lands in some page, and extra stores are harmless).
-    pub const PAGE_BYTES: usize = 4096;
-
-    /// Grow `v` to `len` elements filled with `fill`, first-touching
-    /// every page of the newly reserved capacity from the calling
-    /// thread. No-op when `v.len() >= len`.
-    pub fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
-        if len <= v.len() {
-            return;
-        }
-        v.reserve_exact(len - v.len());
-        let stride = (PAGE_BYTES / core::mem::size_of::<T>().max(1)).max(1);
-        let spare = v.spare_capacity_mut();
-        let n = spare.len();
-        let mut i = 0;
-        while i < n {
-            spare[i].write(fill.clone());
-            i += stride;
-        }
-        if n > 0 {
-            spare[n - 1].write(fill.clone());
-        }
-        v.resize(len, fill);
-    }
-}
-
 #[cfg(test)]
 mod tests;

@@ -391,50 +391,3 @@ mod arena {
         assert_eq!(other.allocated_slots(), 0, "fresh handle, fresh ledger");
     }
 }
-
-mod first_touch {
-    use crate::first_touch::{grow, PAGE_BYTES};
-
-    #[test]
-    fn grow_reaches_len_and_fills() {
-        let mut v: Vec<u64> = vec![7; 3];
-        grow(&mut v, 10_000, 42);
-        assert_eq!(v.len(), 10_000);
-        assert!(v.capacity() >= 10_000);
-        assert!(v[..3].iter().all(|&x| x == 7), "existing elements kept");
-        assert!(v[3..].iter().all(|&x| x == 42), "fresh elements filled");
-    }
-
-    #[test]
-    fn grow_is_noop_for_smaller_or_equal_len() {
-        let mut v: Vec<u32> = vec![1, 2, 3];
-        grow(&mut v, 2, 9);
-        assert_eq!(v, vec![1, 2, 3]);
-        grow(&mut v, 3, 9);
-        assert_eq!(v, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn grow_touches_every_page_of_spare_capacity() {
-        // Grow to a len whose reservation spans many pages; the
-        // page-stride pre-touch must not skip the tail even when
-        // `len * size_of::<T>()` is not page-aligned.
-        let elems_per_page = PAGE_BYTES / core::mem::size_of::<u32>();
-        let len = 5 * elems_per_page + 17;
-        let mut v: Vec<u32> = Vec::new();
-        grow(&mut v, len, 0xA5A5_A5A5);
-        assert_eq!(v.len(), len);
-        assert!(v.iter().all(|&x| x == 0xA5A5_A5A5));
-    }
-
-    #[test]
-    fn grow_from_empty_and_tiny_types() {
-        let mut v: Vec<u8> = Vec::new();
-        grow(&mut v, 1, 0xFF);
-        assert_eq!(v, vec![0xFF]);
-        let mut v: Vec<[u8; 4096 * 2]> = Vec::new();
-        // Element bigger than a page: stride clamps to 1.
-        grow(&mut v, 3, [9; 4096 * 2]);
-        assert_eq!(v.len(), 3);
-    }
-}

@@ -179,18 +179,14 @@ fn apply(value: Option<&NextHop>, inherited: NextHop) -> NextHop {
 
 /// Allocate a run of `n` node slots, growing the backing array to the
 /// allocator's capacity. Freshly exposed slots hold an inert placeholder
-/// that is never reachable until overwritten. Growth goes through
-/// [`poptrie_buddy::first_touch::grow`] so every fresh page is faulted by
-/// the calling thread — on a NUMA machine this places the array on the
-/// builder/writer thread's memory node (the basis of the engine's
-/// per-socket replicas).
+/// that is never reachable until overwritten.
 pub(crate) fn alloc_nodes<K: Bits, N: NodeRepr>(trie: &mut PoptrieImpl<K, N>, n: u32) -> u32 {
     let off = trie.node_buddy.alloc(n);
     trie.grow_nodes(trie.node_buddy.capacity() as usize);
     off
 }
 
-/// Allocate a run of `n` leaf slots (first-touched like [`alloc_nodes`]).
+/// Allocate a run of `n` leaf slots, growing like [`alloc_nodes`].
 /// Private-mode only; shared-mode callers go through [`install_leaves`].
 pub(crate) fn alloc_leaves<K: Bits, N: NodeRepr>(trie: &mut PoptrieImpl<K, N>, n: u32) -> u32 {
     debug_assert!(trie.shared_leaves.is_none());

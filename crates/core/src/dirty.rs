@@ -155,19 +155,20 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         self.dirty.leaves.mark::<NextHop>(slots);
     }
 
-    /// Grow the node array to `len` slots (first-touched by the calling
-    /// thread, see [`poptrie_buddy::first_touch::grow`]).
+    /// Grow the node array to exactly `len` slots.
     pub(crate) fn grow_nodes(&mut self, len: usize) {
         if len > self.nodes.len() {
-            poptrie_buddy::first_touch::grow(&mut self.nodes, len, N::new(0, 1, 0, 0));
+            self.nodes.reserve_exact(len - self.nodes.len());
+            self.nodes.resize(len, N::new(0, 1, 0, 0));
             self.dirty.all = true;
         }
     }
 
-    /// Grow the private leaf array to `len` slots.
+    /// Grow the private leaf array to exactly `len` slots.
     pub(crate) fn grow_leaves(&mut self, len: usize) {
         if len > self.leaves.len() {
-            poptrie_buddy::first_touch::grow(&mut self.leaves, len, poptrie_rib::NO_ROUTE);
+            self.leaves.reserve_exact(len - self.leaves.len());
+            self.leaves.resize(len, poptrie_rib::NO_ROUTE);
             self.dirty.all = true;
         }
     }

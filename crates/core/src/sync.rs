@@ -570,34 +570,6 @@ impl<K: Bits> SharedFib<K> {
         installed
     }
 
-    /// A deep copy of this shared FIB: an independent `SharedFib` whose
-    /// writer state and published snapshot equal this one's at the moment
-    /// of the call (same routes, same version, same dispatch tier).
-    ///
-    /// This is the NUMA replica constructor: the forwarding engine keeps
-    /// one replica per socket so workers read node arrays resident on
-    /// their own memory node, and its single control-plane writer applies
-    /// every coalesced update burst to each replica in turn. The copy is
-    /// taken under this FIB's writer lock, so it can never observe a
-    /// half-applied batch; after the call the two FIBs share nothing and
-    /// diverge unless fed the same updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a shared-leaves (VRF) table: a replica would be a second
-    /// *writer* over the same interned extents, and writer-side refcounts
-    /// admit exactly one. VRF deployments replicate per-group (rebuild the
-    /// group's tables against a second arena) instead.
-    pub fn replicate(&self) -> SharedFib<K> {
-        let w = self.writer();
-        assert!(
-            w.fib.poptrie().shared_leaves().is_none(),
-            "cannot replicate a shared-leaves (VRF) table: interned \
-             extents admit one writer; rebuild the VRF group instead"
-        );
-        SharedFib::from_fib(w.fib.clone(), self.version())
-    }
-
     /// Cumulative update-work counters from the writer side.
     pub fn stats(&self) -> UpdateStats {
         self.writer().fib.stats()

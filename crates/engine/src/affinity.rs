@@ -1,4 +1,5 @@
-//! CPU pinning for worker threads, without libc.
+//! CPU pinning for worker threads, without libc, and the host's NUMA
+//! node count.
 //!
 //! The paper's multi-core scaling experiment (§4.8, Figure 10) pins one
 //! forwarding thread per core so the per-core caches hold each worker's
@@ -47,37 +48,23 @@ fn set_affinity(_mask: &[u64; MASK_WORDS]) -> bool {
     false
 }
 
-/// The machine's NUMA layout: which memory node each CPU belongs to.
+/// The machine's NUMA layout, as far as the host record needs it: the
+/// number of memory nodes.
 ///
-/// Parsed from sysfs (`/sys/devices/system/node/node*/cpulist`) on
-/// Linux; anywhere that surface is missing or malformed the topology
-/// degrades to a single node holding every CPU, which turns all
-/// NUMA-aware placement into the existing uniform behavior. The engine
-/// uses this to size its per-socket FIB replica set and to route each
-/// pinned worker to the replica on its own node.
+/// Counted from the `node<N>` directories under
+/// `/sys/devices/system/node` on Linux; anywhere that surface is missing
+/// the count is 1.
 #[derive(Debug, Clone)]
 pub struct NumaTopology {
-    /// `node_of[cpu]` is the node owning that CPU; CPUs past the end
-    /// (offline or unknown) report node 0.
-    node_of: Vec<u16>,
     /// Number of nodes (at least 1).
     nodes: usize,
 }
 
 impl NumaTopology {
-    /// Detect the running machine's topology (single fallback node when
-    /// sysfs is unavailable).
+    /// Detect the running machine's topology (one node when sysfs is
+    /// unavailable).
     pub fn detect() -> Self {
         Self::from_sysfs(std::path::Path::new("/sys/devices/system/node"))
-            .unwrap_or_else(Self::single_node)
-    }
-
-    /// The degenerate one-node topology.
-    pub fn single_node() -> Self {
-        NumaTopology {
-            node_of: Vec::new(),
-            nodes: 1,
-        }
     }
 
     /// Number of memory nodes (≥ 1).
@@ -85,71 +72,21 @@ impl NumaTopology {
         self.nodes
     }
 
-    /// Number of CPUs the topology knows about (0 on the fallback
-    /// topology, where every CPU implicitly belongs to node 0).
-    pub fn cpus(&self) -> usize {
-        self.node_of.len()
-    }
-
-    /// The node owning `cpu` (0 for CPUs the topology does not know).
-    pub fn node_of_cpu(&self, cpu: usize) -> usize {
-        self.node_of.get(cpu).copied().unwrap_or(0) as usize
-    }
-
-    fn from_sysfs(root: &std::path::Path) -> Option<Self> {
-        let mut per_node: Vec<(usize, Vec<usize>)> = Vec::new();
-        for entry in std::fs::read_dir(root).ok()? {
-            let entry = entry.ok()?;
-            let name = entry.file_name();
-            let name = name.to_str()?;
-            let Some(id) = name
-                .strip_prefix("node")
-                .and_then(|s| s.parse::<usize>().ok())
-            else {
-                continue;
-            };
-            let list = std::fs::read_to_string(entry.path().join("cpulist")).ok()?;
-            per_node.push((id, Self::parse_cpulist(list.trim())?));
-        }
-        if per_node.is_empty() {
-            return None;
-        }
-        let nodes = per_node.iter().map(|(id, _)| id + 1).max()?;
-        let max_cpu = per_node.iter().flat_map(|(_, c)| c.iter()).max().copied()?;
-        let mut node_of = vec![0u16; max_cpu + 1];
-        for (id, cpus) in &per_node {
-            for &c in cpus {
-                node_of[c] = *id as u16;
-            }
-        }
-        Some(NumaTopology {
-            node_of,
+    fn from_sysfs(root: &std::path::Path) -> Self {
+        let is_node = |name: &str| {
+            name.strip_prefix("node")
+                .is_some_and(|id| id.parse::<usize>().is_ok())
+        };
+        let nodes = std::fs::read_dir(root)
+            .map(|dir| {
+                dir.filter_map(Result::ok)
+                    .filter(|e| e.file_name().to_str().is_some_and(is_node))
+                    .count()
+            })
+            .unwrap_or(0);
+        NumaTopology {
             nodes: nodes.max(1),
-        })
-    }
-
-    /// Parse the kernel's cpulist format: comma-separated decimal CPUs
-    /// and inclusive ranges, e.g. `"0-3,8,10-11"`. Empty string (a
-    /// memory-only node) parses to an empty list.
-    fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
-        let mut cpus = Vec::new();
-        if s.is_empty() {
-            return Some(cpus);
         }
-        for part in s.split(',') {
-            match part.split_once('-') {
-                Some((lo, hi)) => {
-                    let lo: usize = lo.trim().parse().ok()?;
-                    let hi: usize = hi.trim().parse().ok()?;
-                    if lo > hi {
-                        return None;
-                    }
-                    cpus.extend(lo..=hi);
-                }
-                None => cpus.push(part.trim().parse().ok()?),
-            }
-        }
-        Some(cpus)
     }
 }
 
@@ -172,47 +109,25 @@ mod tests {
     }
 
     #[test]
-    fn cpulist_parsing() {
-        assert_eq!(NumaTopology::parse_cpulist("0"), Some(vec![0]));
-        assert_eq!(NumaTopology::parse_cpulist("0-3"), Some(vec![0, 1, 2, 3]));
-        assert_eq!(
-            NumaTopology::parse_cpulist("0-2,8,10-11"),
-            Some(vec![0, 1, 2, 8, 10, 11])
-        );
-        assert_eq!(NumaTopology::parse_cpulist(""), Some(vec![]));
-        assert_eq!(NumaTopology::parse_cpulist("3-1"), None);
-        assert_eq!(NumaTopology::parse_cpulist("x"), None);
-    }
-
-    #[test]
     fn synthetic_sysfs_topology() {
-        // A fake two-socket sysfs tree: node0 = cpus 0-1, node1 = 2-3.
+        // A fake two-socket sysfs tree, plus entries that must be
+        // ignored: non-node names.
         let dir = std::env::temp_dir().join(format!("poptrie-numa-{}", std::process::id()));
-        for (node, list) in [("node0", "0-1"), ("node1", "2-3")] {
-            let d = dir.join(node);
-            std::fs::create_dir_all(&d).unwrap();
-            std::fs::write(d.join("cpulist"), format!("{list}\n")).unwrap();
+        for name in ["node0", "node1", "possible", "nodex"] {
+            std::fs::create_dir_all(dir.join(name)).unwrap();
         }
-        // Entries that must be ignored: non-node names.
-        std::fs::create_dir_all(dir.join("possible")).unwrap();
-        let t = NumaTopology::from_sysfs(&dir).expect("parse synthetic tree");
+        let t = NumaTopology::from_sysfs(&dir);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(t.nodes(), 2);
-        assert_eq!(t.cpus(), 4);
-        assert_eq!(t.node_of_cpu(0), 0);
-        assert_eq!(t.node_of_cpu(1), 0);
-        assert_eq!(t.node_of_cpu(2), 1);
-        assert_eq!(t.node_of_cpu(3), 1);
-        assert_eq!(t.node_of_cpu(99), 0, "unknown CPUs fall back to node 0");
+        assert_eq!(
+            NumaTopology::from_sysfs(&dir).nodes(),
+            1,
+            "a missing tree counts as one node"
+        );
     }
 
     #[test]
     fn detection_always_yields_a_usable_topology() {
-        let t = NumaTopology::detect();
-        assert!(t.nodes() >= 1);
-        // Every known CPU maps to a node below the node count.
-        for cpu in 0..t.cpus() {
-            assert!(t.node_of_cpu(cpu) < t.nodes());
-        }
+        assert!(NumaTopology::detect().nodes() >= 1);
     }
 }

@@ -30,16 +30,8 @@
 //! body is caught, counted, and the worker loop re-enters on the same OS
 //! thread.
 //!
-//! On a NUMA machine the engine serves from one FIB replica per memory
-//! node (replica 0 is the caller's `SharedFib`): each pinned worker
-//! reads the replica local to its node, and the writer applies every
-//! coalesced burst to all replicas in one iteration. Note that
-//! out-of-band mutations of the primary (calling
-//! `SharedFib::insert`/`set_batch_backend` directly after
-//! [`Engine::start`]) bypass the writer and therefore do **not** reach
-//! the other replicas — route all updates through [`Control`] when
-//! replicas are in play, and set the dispatch backend before starting
-//! the engine (replication copies it).
+//! Every worker reads the one `SharedFib` handed to [`Engine::start`],
+//! and the writer applies each coalesced burst to it once.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -124,6 +116,12 @@ impl core::fmt::Display for BadIndex {
 
 impl std::error::Error for BadIndex {}
 
+/// Whether `vrf` names a table of `vrfs`. The registry only grows, so
+/// an index check is enough.
+fn known_vrf<K: Bits>(vrfs: Option<&VrfTable<K>>, vrf: VrfId) -> bool {
+    vrfs.is_some_and(|v| vrf.index() < v.len())
+}
+
 /// The per-worker batch queues, shared between the engine, its workers
 /// and every [`Ingress`] handle.
 type BatchQueues<K> = Arc<Vec<Arc<Bounded<Stamped<K>>>>>;
@@ -160,7 +158,6 @@ pub struct EngineConfig<K: Bits> {
     batch_delay: Duration,
     qos: QosPolicy,
     sources: Vec<(String, u32)>,
-    numa_replicas: Option<usize>,
     vrfs: Option<Arc<VrfTable<K>>>,
     on_batch: Option<BatchHook<K>>,
     on_publish: Option<PublishHook<K>>,
@@ -178,7 +175,6 @@ impl<K: Bits> core::fmt::Debug for EngineConfig<K> {
             .field("batch_delay", &self.batch_delay)
             .field("qos", &self.qos)
             .field("sources", &self.sources)
-            .field("numa_replicas", &self.numa_replicas)
             .field("vrfs", &self.vrfs)
             .finish_non_exhaustive()
     }
@@ -199,7 +195,6 @@ impl<K: Bits> EngineConfig<K> {
             batch_delay: Duration::ZERO,
             qos: QosPolicy::Refuse,
             sources: Vec::new(),
-            numa_replicas: None,
             vrfs: None,
             on_batch: None,
             on_publish: None,
@@ -265,26 +260,12 @@ impl<K: Bits> EngineConfig<K> {
         self
     }
 
-    /// Serve lookups from this many FIB replicas (minimum 1) instead of
-    /// auto-detecting one replica per NUMA node. Replica 0 is always the
-    /// `SharedFib` handed to [`Engine::start`]; the engine clones the
-    /// others at startup and its writer applies every coalesced update
-    /// burst to each, so all replicas converge after every burst. Mostly
-    /// a testing override — the auto-detected value is right on real
-    /// hardware.
-    pub fn numa_replicas(mut self, replicas: usize) -> Self {
-        self.numa_replicas = Some(replicas.max(1));
-        self
-    }
-
     /// Attach a multi-tenant VRF registry. Workers then accept
     /// VRF-keyed batches ([`Ingress::try_submit_vrf`]) served against
     /// the addressed tenant's snapshot, and the writer applies VRF-keyed
     /// route updates ([`Control::send_vrf`]) to the addressed tenant
     /// only — engine-wide coalescing still runs, but per `(VRF,
     /// prefix)`, so one tenant's churn never merges into another's.
-    /// VRF tables are *not* NUMA-replicated: every worker reads the
-    /// registry's single copy (the nodes stay tenant-private and small).
     pub fn vrfs(mut self, vrfs: Arc<VrfTable<K>>) -> Self {
         self.vrfs = Some(vrfs);
         self
@@ -307,9 +288,9 @@ impl<K: Bits> EngineConfig<K> {
     /// record the ingress → dequeue → lookup slice for 1-in-N sampled
     /// batches (N = the recorder's sample divisor) plus every snapshot
     /// adoption; the writer records every burst, spanned update apply,
-    /// and per-replica publish. Only available with the `observe` feature
-    /// — without it this method does not exist and the engine contains
-    /// no recorder code at all.
+    /// and publish. Only available with the `observe` feature — without
+    /// it this method does not exist and the engine contains no recorder
+    /// code at all.
     #[cfg(feature = "observe")]
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = Some(recorder);
@@ -358,21 +339,6 @@ impl<K: Bits> core::fmt::Debug for Ingress<K> {
 }
 
 impl<K: Bits> Ingress<K> {
-    /// Count one accepted batch of `n` packets on queue `worker`.
-    fn count_accept(&self, worker: usize, n: u64, depth: usize) {
-        self.stats.submitted_batches.inc();
-        self.stats.batch_size.record(n);
-        self.stats
-            .worker(worker)
-            .queue_depth
-            .record_max(depth as u64);
-        if self.source != NO_SOURCE {
-            self.stats.sources()[self.source as usize]
-                .submitted_batches
-                .inc();
-        }
-    }
-
     /// Count one refused batch of `n` packets.
     fn count_refuse(&self, n: u64) {
         self.stats.dropped_batches.inc();
@@ -384,74 +350,25 @@ impl<K: Bits> Ingress<K> {
         }
     }
 
-    /// Submit a batch to worker `worker`'s queue without blocking. On
-    /// refusal (queue full, source quota exhausted, or engine shut down)
-    /// the batch is handed back and the drop is **already counted** in
-    /// [`dropped_batches`](EngineTelemetry::dropped_batches) /
-    /// [`dropped_packets`](EngineTelemetry::dropped_packets).
-    pub fn try_submit_to(&self, worker: usize, batch: Arc<[K]>) -> Result<(), Arc<[K]>> {
-        let n = batch.len() as u64;
-        match self.queues[worker].try_push_from(
-            self.source,
-            self.quota,
-            (Instant::now(), None, batch),
-        ) {
-            Ok(depth) => {
-                self.count_accept(worker, n, depth);
-                Ok(())
-            }
-            Err(PushError::Full((_, _, b))) | Err(PushError::Closed((_, _, b))) => {
-                self.count_refuse(n);
-                Err(b)
-            }
-        }
-    }
-
-    /// Submit a batch addressed to VRF `vrf` (round-robin across workers
-    /// like [`Ingress::try_submit`]). The id is validated against the
-    /// engine's attached registry at this edge: an unknown id — or an
-    /// engine started without [`EngineConfig::vrfs`] — refuses the batch
-    /// with the drop already counted, exactly like a full queue. The
-    /// serving worker resolves the tenant's own RCU snapshot per batch,
-    /// so per-VRF lookup isolation matches the engine FIB's read model.
-    pub fn try_submit_vrf(&self, vrf: VrfId, batch: Arc<[K]>) -> Result<usize, Arc<[K]>> {
-        if self.vrfs.as_ref().is_none_or(|v| v.get(vrf).is_none()) {
-            self.count_refuse(batch.len() as u64);
-            return Err(batch);
-        }
-        let n = self.queues.len();
+    /// The one submit path: offer the batch to each worker of `order` in
+    /// turn and count the outcome. An index past the last queue ends the
+    /// search, so a hostile index is a counted refusal, never a panic.
+    fn submit(
+        &self,
+        order: impl Iterator<Item = usize>,
+        vrf: Option<VrfId>,
+        batch: Arc<[K]>,
+    ) -> Result<usize, Arc<[K]>> {
         let packets = batch.len() as u64;
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        let mut stamped = (Instant::now(), Some(vrf), batch);
-        for i in 0..n {
-            let w = (start + i) % n;
-            match self.queues[w].try_push_from(self.source, self.quota, stamped) {
-                Ok(depth) => {
-                    self.count_accept(w, packets, depth);
-                    return Ok(w);
-                }
-                Err(PushError::Full(s)) | Err(PushError::Closed(s)) => stamped = s,
-            }
-        }
-        self.count_refuse(packets);
-        Err(stamped.2)
-    }
-
-    /// Submit a batch to the next worker in round-robin order, skipping
-    /// over full queues — load shifts away from a momentarily slow worker
-    /// instead of being shed. Returns the accepting worker's index; on
-    /// refusal (every queue full or quota-exhausted, or shutdown) the
-    /// batch is handed back and the drop is already counted.
-    pub fn try_submit(&self, batch: Arc<[K]>) -> Result<usize, Arc<[K]>> {
-        let n = self.queues.len();
-        let packets = batch.len() as u64;
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        let mut stamped = (Instant::now(), None, batch);
-        for i in 0..n {
-            let w = (start + i) % n;
-            match self.queues[w].try_push_from(self.source, self.quota, stamped) {
+        let mut stamped = (Instant::now(), vrf, batch);
+        for w in order {
+            let Some(queue) = self.queues.get(w) else {
+                break;
+            };
+            match queue.try_push_from(self.source, self.quota, stamped) {
                 Ok(depth) => {
                     self.stats.submitted_batches.inc();
+                    self.stats.batch_size.record(packets);
                     self.stats.worker(w).queue_depth.record_max(depth as u64);
                     if self.source != NO_SOURCE {
                         self.stats.sources()[self.source as usize]
@@ -465,6 +382,48 @@ impl<K: Bits> Ingress<K> {
         }
         self.count_refuse(packets);
         Err(stamped.2)
+    }
+
+    /// Every worker once, in round-robin order from the next start.
+    fn round_robin(&self) -> impl Iterator<Item = usize> {
+        let n = self.queues.len();
+        let start = self.next.fetch_add(1, Ordering::Relaxed);
+        (0..n).map(move |i| (start + i) % n)
+    }
+
+    /// Submit a batch to worker `worker`'s queue without blocking. On
+    /// refusal (queue full, source quota exhausted, engine shut down, or
+    /// `worker >= workers()`) the batch is handed back and the drop is
+    /// **already counted** in
+    /// [`dropped_batches`](EngineTelemetry::dropped_batches) /
+    /// [`dropped_packets`](EngineTelemetry::dropped_packets).
+    pub fn try_submit_to(&self, worker: usize, batch: Arc<[K]>) -> Result<(), Arc<[K]>> {
+        self.submit(core::iter::once(worker), None, batch)
+            .map(|_| ())
+    }
+
+    /// Submit a batch addressed to VRF `vrf` (round-robin across workers
+    /// like [`Ingress::try_submit`]). The id is validated against the
+    /// engine's attached registry at this edge: an unknown id — or an
+    /// engine started without [`EngineConfig::vrfs`] — refuses the batch
+    /// with the drop already counted, exactly like a full queue. The
+    /// serving worker resolves the tenant's own RCU snapshot per batch,
+    /// so per-VRF lookup isolation matches the engine FIB's read model.
+    pub fn try_submit_vrf(&self, vrf: VrfId, batch: Arc<[K]>) -> Result<usize, Arc<[K]>> {
+        if !known_vrf(self.vrfs.as_deref(), vrf) {
+            self.count_refuse(batch.len() as u64);
+            return Err(batch);
+        }
+        self.submit(self.round_robin(), Some(vrf), batch)
+    }
+
+    /// Submit a batch to the next worker in round-robin order, skipping
+    /// over full queues — load shifts away from a momentarily slow worker
+    /// instead of being shed. Returns the accepting worker's index; on
+    /// refusal (every queue full or quota-exhausted, or shutdown) the
+    /// batch is handed back and the drop is already counted.
+    pub fn try_submit(&self, batch: Arc<[K]>) -> Result<usize, Arc<[K]>> {
+        self.submit(self.round_robin(), None, batch)
     }
 
     /// Number of worker queues this handle feeds.
@@ -537,7 +496,7 @@ impl<K: Bits> Control<K> {
     /// convergence-lag accounting as engine-FIB updates, but apply to
     /// the addressed tenant only.
     pub fn send_vrf(&self, vrf: VrfId, update: RouteUpdate<K>) -> Result<(), RouteUpdate<K>> {
-        if self.vrfs.as_ref().is_none_or(|v| v.get(vrf).is_none()) {
+        if !known_vrf(self.vrfs.as_deref(), vrf) {
             self.stats.control_dropped.inc();
             return Err(update);
         }
@@ -664,9 +623,6 @@ impl From<&LatencySummary> for poptrie_telemetry::json::Json {
 /// Final accounting for one worker, from [`EngineReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerReport {
-    /// Index of the NUMA FIB replica this worker served lookups from
-    /// (0 = the primary).
-    pub replica: usize,
     /// Packets this worker looked up.
     pub packets: u64,
     /// Batches this worker drained.
@@ -729,19 +685,14 @@ pub struct EngineReport {
     pub queue_wait: LatencySummary,
     /// Engine-wide lookup service time (all workers' histograms merged).
     pub service: LatencySummary,
-    /// FIB replicas the engine served from (1 = no NUMA replication).
-    pub fib_replicas: usize,
-    /// Snapshots published to non-primary replicas by the writer (one
-    /// per extra replica per coalesced burst).
-    pub replica_publishes: u64,
     /// Snapshots published by the writer.
     pub publishes: u64,
-    /// Publishes of the primary FIB since the engine started that copied
+    /// Publishes of the engine FIB since the engine started that copied
     /// the whole FIB, for example because a worker still held the
     /// snapshot the previous publish retired. Read from
     /// [`SharedFib::publish_stats`], like the next two fields.
     pub publish_full_copies: u64,
-    /// Publishes of the primary FIB since the engine started that copied
+    /// Publishes of the engine FIB since the engine started that copied
     /// only the lines their burst wrote.
     pub publish_incremental: u64,
     /// Bytes of FIB arrays copied by those publishes.
@@ -829,9 +780,6 @@ pub fn source_quotas(capacity: usize, weights: &[u32]) -> Vec<usize> {
 /// [`Engine::shutdown`] for drain-then-join teardown.
 pub struct Engine<K: Bits> {
     fib: Arc<SharedFib<K>>,
-    /// All FIB replicas, primary first; workers read the one local to
-    /// their NUMA node, the writer publishes to every one.
-    replicas: Vec<Arc<SharedFib<K>>>,
     queues: BatchQueues<K>,
     control: Arc<Bounded<StampedUpdate<K>>>,
     stats: Arc<EngineTelemetry>,
@@ -841,7 +789,7 @@ pub struct Engine<K: Bits> {
     writer: Option<JoinHandle<()>>,
     next: Arc<AtomicUsize>,
     started: Instant,
-    /// The primary FIB's publish work when the engine started.
+    /// The FIB's publish work when the engine started.
     publish_base: PublishStats,
 }
 
@@ -870,35 +818,6 @@ impl<K: Bits> Engine<K> {
         let stats = Arc::new(EngineTelemetry::new(nworkers, &source_specs));
         stats.published_version.set(fib.version());
         let publish_base = fib.publish_stats();
-
-        // One FIB replica per NUMA node (or per the explicit override),
-        // primary first. Each extra replica is an independent deep copy
-        // taken before any thread starts; the writer keeps them
-        // converged burst by burst. Auto-detection never creates more
-        // replicas than workers — an unread copy is pure memory cost.
-        let topo = affinity::NumaTopology::detect();
-        let nreplicas = config
-            .numa_replicas
-            .unwrap_or_else(|| topo.nodes().min(nworkers))
-            .max(1);
-        let mut replicas: Vec<Arc<SharedFib<K>>> = Vec::with_capacity(nreplicas);
-        replicas.push(Arc::clone(&fib));
-        for _ in 1..nreplicas {
-            replicas.push(Arc::new(fib.replicate()));
-        }
-        stats.fib_replicas.set(nreplicas as u64);
-        // Worker→replica affinity: a pinned worker reads the replica of
-        // the node its core belongs to. When the replica count exceeds
-        // the detected node count (the testing override on a small
-        // host), the mapping degenerates to round-robin so every
-        // replica is exercised.
-        let replica_of = |worker: usize| -> usize {
-            if topo.nodes() >= nreplicas && topo.cpus() > 0 {
-                topo.node_of_cpu(worker % topo.cpus()) % nreplicas
-            } else {
-                worker % nreplicas
-            }
-        };
         let queues: BatchQueues<K> = Arc::new(
             (0..nworkers)
                 .map(|_| Arc::new(Bounded::new(config.queue_capacity)))
@@ -912,9 +831,7 @@ impl<K: Bits> Engine<K> {
         for idx in 0..nworkers {
             let flag = Arc::new(AtomicBool::new(false));
             panic_flags.push(Arc::clone(&flag));
-            let replica = replica_of(idx);
-            stats.worker(idx).replica.set(replica as u64);
-            let fib = Arc::clone(&replicas[replica]);
+            let fib = Arc::clone(&fib);
             let queue = Arc::clone(&queues[idx]);
             let stats = Arc::clone(&stats);
             let vrfs = config.vrfs.clone();
@@ -932,7 +849,6 @@ impl<K: Bits> Engine<K> {
                     let tracer = recorder.map(|r| r.register(&format!("worker{idx}")));
                     worker_main(
                         idx,
-                        replica,
                         &fib,
                         vrfs.as_deref(),
                         &queue,
@@ -949,7 +865,7 @@ impl<K: Bits> Engine<K> {
         }
 
         let writer = {
-            let replicas = replicas.clone();
+            let fib = Arc::clone(&fib);
             let queue = Arc::clone(&control);
             let stats = Arc::clone(&stats);
             let vrfs = config.vrfs.clone();
@@ -961,7 +877,7 @@ impl<K: Bits> Engine<K> {
                 .spawn(move || {
                     let tracer = recorder.map(|r| r.register("writer"));
                     writer_main(
-                        &replicas,
+                        &fib,
                         vrfs.as_deref(),
                         &queue,
                         &stats,
@@ -975,7 +891,6 @@ impl<K: Bits> Engine<K> {
 
         Engine {
             fib,
-            replicas,
             queues,
             control,
             stats,
@@ -1047,17 +962,9 @@ impl<K: Bits> Engine<K> {
         Arc::clone(&self.stats)
     }
 
-    /// The shared FIB the engine serves (the primary, replica 0).
+    /// The shared FIB the engine serves.
     pub fn fib(&self) -> &Arc<SharedFib<K>> {
         &self.fib
-    }
-
-    /// Every FIB replica the engine serves from, primary first. More
-    /// than one entry only on a multi-node machine (or under the
-    /// [`EngineConfig::numa_replicas`] override); the writer keeps them
-    /// converged burst by burst.
-    pub fn fib_replicas(&self) -> &[Arc<SharedFib<K>>] {
-        &self.replicas
     }
 
     /// Make worker `worker` panic at the start of its next batch — a
@@ -1112,7 +1019,6 @@ impl<K: Bits> Engine<K> {
             .workers()
             .iter()
             .map(|w| WorkerReport {
-                replica: w.replica.get() as usize,
                 packets: w.packets.get(),
                 batches: w.batches.get(),
                 respawns: w.respawns.get(),
@@ -1159,8 +1065,6 @@ impl<K: Bits> Engine<K> {
             deadline_dropped_packets: self.stats.total_deadline_dropped_packets(),
             queue_wait: LatencySummary::from_counts(&wait_counts, wait_sum),
             service: LatencySummary::from_counts(&service_counts, service_sum),
-            fib_replicas: self.replicas.len(),
-            replica_publishes: self.stats.replica_publishes.get(),
             publishes: self.stats.publishes.get(),
             publish_full_copies: work.full_copies,
             publish_incremental: work.incremental,
@@ -1200,7 +1104,6 @@ impl<K: Bits> Drop for Engine<K> {
 #[allow(clippy::too_many_arguments)]
 fn worker_main<K: Bits>(
     idx: usize,
-    replica: usize,
     fib: &SharedFib<K>,
     vrfs: Option<&VrfTable<K>>,
     queue: &Bounded<Stamped<K>>,
@@ -1212,7 +1115,7 @@ fn worker_main<K: Bits>(
     tracer: Option<&RingWriter>,
 ) {
     #[cfg(not(feature = "observe"))]
-    let _ = (replica, tracer);
+    let _ = tracer;
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut out: Vec<NextHop> = Vec::new();
@@ -1320,12 +1223,7 @@ fn worker_main<K: Bits>(
                     let version = snap.version();
                     if version != last_version {
                         last_version = version;
-                        t.record(
-                            EventKind::SnapshotAdopt,
-                            0,
-                            version,
-                            pack_worker_tier(idx as u32, replica as u32),
-                        );
+                        t.record(EventKind::SnapshotAdopt, 0, version, idx as u32);
                     }
                 }
                 if source != NO_SOURCE {
@@ -1345,14 +1243,8 @@ fn worker_main<K: Bits>(
 
 /// The single control-plane writer: drain a burst, coalesce duplicate
 /// prefixes (last update wins, order of survivors preserved), apply under
-/// one writer critical section per replica, publish one snapshot per
-/// replica. The primary (replica 0) is updated first and its
-/// [`BatchOutcome`] drives the stats and the publish hook; the remaining
-/// NUMA replicas receive the identical coalesced burst immediately after,
-/// so they converge to the same routes within the same writer iteration
-/// (workers on other nodes may observe the new routes one burst-apply
-/// later than workers on the primary's node — the same snapshot-staleness
-/// window every worker already has between snapshot acquisitions).
+/// one writer critical section, publish one snapshot. The
+/// [`BatchOutcome`] drives the stats and the publish hook.
 ///
 /// Like the workers, the writer is panic-isolated: a panicking burst
 /// (most plausibly a user publish hook) is caught and counted in
@@ -1360,7 +1252,7 @@ fn worker_main<K: Bits>(
 /// loop re-enters on the same OS thread — a poisoned burst must not
 /// wedge the control plane while the dataplane keeps serving.
 fn writer_main<K: Bits>(
-    replicas: &[Arc<SharedFib<K>>],
+    fib: &SharedFib<K>,
     vrfs: Option<&VrfTable<K>>,
     queue: &Bounded<StampedUpdate<K>>,
     stats: &EngineTelemetry,
@@ -1370,7 +1262,6 @@ fn writer_main<K: Bits>(
 ) {
     #[cfg(not(feature = "observe"))]
     let _ = tracer;
-    let fib = &replicas[0];
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut buf: Vec<StampedUpdate<K>> = Vec::with_capacity(window);
@@ -1461,17 +1352,7 @@ fn writer_main<K: Bits>(
                                 t.record(EventKind::UpdateApply, span, outcome.version, 0);
                             }
                         }
-                        t.record(EventKind::ReplicaPublish, 0, outcome.version, 0);
-                    }
-                    for (ri, replica) in replicas.iter().enumerate().skip(1) {
-                        replica.update_batch(coalesced.iter().copied());
-                        stats.replica_publishes.inc();
-                        #[cfg(feature = "observe")]
-                        if let Some(t) = tracer {
-                            t.record(EventKind::ReplicaPublish, 0, outcome.version, ri as u32);
-                        }
-                        #[cfg(not(feature = "observe"))]
-                        let _ = ri;
+                        t.record(EventKind::Publish, 0, outcome.version, 0);
                     }
                     stats.updates_applied.add(outcome.applied as u64);
                     stats.publishes.inc();

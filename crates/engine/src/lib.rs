@@ -12,13 +12,8 @@
 //! * **one control-plane writer** consuming announce/withdraw events
 //!   from a bounded channel, coalescing duplicate-prefix updates per
 //!   burst, applying them through the §3.5 incremental update, and
-//!   publishing exactly one RCU snapshot per burst per FIB replica;
-//! * **NUMA awareness**: one FIB replica per memory node (detected from
-//!   sysfs, overridable with [`EngineConfig::numa_replicas`]), each
-//!   worker reading the replica local to the core it pins, the writer
-//!   keeping every replica converged burst by burst, and the node/leaf
-//!   arrays first-touched by their growing thread
-//!   (`poptrie_buddy::first_touch`);
+//!   publishing exactly one RCU snapshot per burst — every worker reads
+//!   the one `SharedFib` handed to [`Engine::start`];
 //! * **bounded queues everywhere** with non-blocking producers and drop
 //!   accounting (backpressure sheds load, it never blocks the feeder);
 //! * **QoS** ([`QosPolicy`]): per-source weighted queue shares

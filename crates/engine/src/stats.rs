@@ -25,9 +25,6 @@ pub struct WorkerStats {
     /// [`EngineTelemetry::published_version`], this is the worker's
     /// snapshot age in publishes.
     pub snapshot_version: Gauge,
-    /// Index of the NUMA FIB replica this worker reads (0 = the primary
-    /// the caller handed to [`Engine::start`](crate::Engine::start)).
-    pub replica: Gauge,
     /// Nanoseconds each batch spent queued before this worker picked it
     /// up (includes deadline-dropped batches — their wait is exactly why
     /// they were dropped).
@@ -100,12 +97,6 @@ pub struct EngineTelemetry {
     pub writer_respawns: Counter,
     /// Version of the most recently published FIB snapshot.
     pub published_version: Gauge,
-    /// Number of FIB replicas the engine serves from (1 = no NUMA
-    /// replication, just the primary).
-    pub fib_replicas: Gauge,
-    /// Snapshots published to non-primary replicas by the writer (one
-    /// per replica per coalesced burst; 0 when `fib_replicas` is 1).
-    pub replica_publishes: Counter,
     /// VRF-keyed batches served by workers (a subset of the per-worker
     /// batch totals; see
     /// [`Ingress::try_submit_vrf`](crate::Ingress::try_submit_vrf)).
@@ -148,8 +139,6 @@ impl EngineTelemetry {
             convergence_ns: Log2Histogram::new(),
             writer_respawns: Counter::new(),
             published_version: Gauge::new(),
-            fib_replicas: Gauge::new(),
-            replica_publishes: Counter::new(),
             vrf_batches: Counter::new(),
             vrf_packets: Counter::new(),
             vrf_updates: Counter::new(),
@@ -265,12 +254,6 @@ impl EngineTelemetry {
                 "FIB snapshot version last served, per worker.",
                 labels,
                 w.snapshot_version.get() as f64,
-            );
-            reg.gauge(
-                "poptrie_engine_worker_replica",
-                "Index of the NUMA FIB replica this worker reads.",
-                labels,
-                w.replica.get() as f64,
             );
             reg.counter(
                 "poptrie_engine_deadline_dropped_batches_total",
@@ -404,18 +387,6 @@ impl EngineTelemetry {
             "Version of the most recently published FIB snapshot.",
             &[],
             self.published_version.get() as f64,
-        );
-        reg.gauge(
-            "poptrie_engine_fib_replicas",
-            "Number of NUMA FIB replicas the engine serves from.",
-            &[],
-            self.fib_replicas.get() as f64,
-        );
-        reg.counter(
-            "poptrie_engine_replica_publishes_total",
-            "Snapshots published to non-primary replicas by the writer.",
-            &[],
-            self.replica_publishes.get(),
         );
         reg.counter(
             "poptrie_engine_vrf_batches_total",

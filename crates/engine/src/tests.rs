@@ -374,78 +374,71 @@ mod engine {
     }
 
     #[test]
-    fn numa_replicas_converge_and_serve_identically() {
+    fn every_submit_path_records_batch_size() {
         let fib = shared(&[("10.0.0.0/8", 1)]);
+        let vrfs = Arc::new(VrfTable::<u32>::private(
+            PoptrieConfig::new().direct_bits(16).build().unwrap(),
+        ));
+        let tenant = vrfs.create();
         let engine = Engine::start(
             Arc::clone(&fib),
-            EngineConfig::new(3).pin_workers(false).numa_replicas(3),
+            EngineConfig::new(2).pin_workers(false).vrfs(vrfs),
         );
-        assert_eq!(engine.fib_replicas().len(), 3);
-        // Every replica starts as a converged copy of the primary.
-        for r in engine.fib_replicas() {
-            assert_eq!(r.lookup(0x0A00_0001), Some(1));
-            assert_eq!(r.version(), fib.version());
-        }
-
-        // Updates routed through the writer reach all replicas.
-        let control = engine.control();
-        control.announce(p4("11.0.0.0/8"), 7).unwrap();
-        control.withdraw(p4("10.0.0.0/8")).unwrap();
-        let t = engine.telemetry();
-        while t.update_events.get() < 2 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for (i, r) in engine.fib_replicas().iter().enumerate() {
-            assert_eq!(r.lookup(0x0B00_0001), Some(7), "replica {i}");
-            assert_eq!(r.lookup(0x0A00_0001), None, "replica {i}");
-        }
-
-        // Batches still resolve correctly no matter which worker (and
-        // hence which replica) serves them.
         let ingress = engine.ingress();
-        let batch: Arc<[u32]> = Arc::from(vec![0x0B00_0001u32, 0x0A00_0001]);
-        for w in 0..3 {
-            while ingress.try_submit_to(w, Arc::clone(&batch)).is_err() {
-                std::thread::sleep(Duration::from_millis(1));
+        let batch: Arc<[u32]> = Arc::from(vec![0x0A00_0001u32; 4]);
+        for i in 0..30 {
+            let mut b = Arc::clone(&batch);
+            loop {
+                let sent = match i % 3 {
+                    0 => ingress.try_submit(b).map(|_| ()),
+                    1 => ingress.try_submit_to(i % 2, b),
+                    _ => ingress.try_submit_vrf(tenant, b).map(|_| ()),
+                };
+                match sent {
+                    Ok(()) => break,
+                    Err(back) => {
+                        b = back;
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
             }
         }
+        let t = engine.telemetry();
+        assert_eq!(t.submitted_batches.get(), 30);
+        assert_eq!(
+            t.batch_size.counts().iter().sum::<u64>(),
+            30,
+            "one size sample per accepted batch"
+        );
+        assert_eq!(t.batch_size.sum(), 120);
         let report = engine.shutdown(Duration::from_secs(10));
-        assert!(report.drained_clean);
-        assert_eq!(report.fib_replicas, 3);
-        // One publish per burst on the primary, one per extra replica:
-        // the writer touched every replica exactly as often.
-        assert_eq!(report.replica_publishes, report.publishes * 2);
-        // Every worker is mapped to a valid replica; on a host with
-        // fewer NUMA nodes than the forced replica count the mapping is
-        // round-robin so all replicas are exercised.
-        for (i, w) in report.workers.iter().enumerate() {
-            assert!(w.replica < report.fib_replicas);
-            if crate::NumaTopology::detect().nodes() < 3 {
-                assert_eq!(w.replica, i % 3);
-            }
-        }
+        assert_eq!(report.batches, 30);
     }
 
     #[test]
-    fn single_replica_engine_reports_no_replica_publishes() {
+    fn out_of_range_worker_is_a_counted_refusal() {
         let fib = shared(&[("10.0.0.0/8", 1)]);
         let engine = Engine::start(Arc::clone(&fib), EngineConfig::new(2).pin_workers(false));
-        let control = engine.control();
-        control.announce(p4("11.0.0.0/8"), 2).unwrap();
-        let t = engine.telemetry();
-        while t.update_events.get() < 1 {
+        let ingress = engine.ingress();
+        let batch: Arc<[u32]> = Arc::from(vec![0x0A00_0001u32; 3]);
+        for worker in [2, 3, usize::MAX] {
+            let back = ingress
+                .try_submit_to(worker, Arc::clone(&batch))
+                .expect_err("no such worker");
+            assert_eq!(back.len(), 3, "the batch is handed back");
+        }
+        while ingress.try_submit_to(1, Arc::clone(&batch)).is_err() {
             std::thread::sleep(Duration::from_millis(1));
         }
         let report = engine.shutdown(Duration::from_secs(10));
-        // Auto-detection never exceeds the node count, and replica 0 is
-        // the caller's own SharedFib — mutating through the engine
-        // mutated `fib` itself.
-        assert!(report.fib_replicas >= 1);
-        assert_eq!(fib.lookup(0x0B00_0001), Some(2));
-        if report.fib_replicas == 1 {
-            assert_eq!(report.replica_publishes, 0);
-            assert!(report.workers.iter().all(|w| w.replica == 0));
-        }
+        assert!(report.drained_clean);
+        assert_eq!(report.dropped_batches, 3);
+        // offered = delivered + deadline-dropped + refused, in packets.
+        assert_eq!(
+            report.packets + report.deadline_dropped_packets + report.dropped_packets,
+            4 * 3
+        );
+        assert_eq!(report.packets, 3);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn kind_name(kind: EventKind) -> &'static str {
         EventKind::LookupStart | EventKind::LookupEnd => "trace/lookup_batch",
         EventKind::WriterBurst => "trace/writer_burst",
         EventKind::UpdateApply => "trace/update_apply",
-        EventKind::ReplicaPublish => "trace/replica_publish",
+        EventKind::Publish => "trace/publish",
         EventKind::SnapshotAdopt => "trace/snapshot_adopt",
         EventKind::SpanAccept => "trace/span_accept",
         EventKind::BgpTransition => "trace/bgp_transition",
@@ -51,14 +51,14 @@ fn kind_name(kind: EventKind) -> &'static str {
 }
 
 fn instant(ev: &TraceEvent, kind: EventKind, tid: usize) -> Json {
-    let ((worker, low), aux) = (unpack_worker_tier(ev.aux), ev.aux);
+    let aux = ev.aux;
     let args = match kind {
-        EventKind::IngressEnqueue => json!({"packets": ev.arg, "worker": worker}),
-        EventKind::BatchDequeue => json!({"wait_ns": ev.arg, "worker": worker}),
+        EventKind::IngressEnqueue => json!({"packets": ev.arg, "worker": aux}),
+        EventKind::BatchDequeue => json!({"wait_ns": ev.arg, "worker": aux}),
         EventKind::WriterBurst => json!({"events": ev.arg, "coalesced": aux}),
         EventKind::UpdateApply => json!({"span": ev.span, "version": ev.arg}),
-        EventKind::ReplicaPublish => json!({"version": ev.arg, "replica": aux}),
-        EventKind::SnapshotAdopt => json!({"version": ev.arg, "worker": worker, "replica": low}),
+        EventKind::Publish => json!({"version": ev.arg}),
+        EventKind::SnapshotAdopt => json!({"version": ev.arg, "worker": aux}),
         EventKind::SpanAccept => json!({"span": ev.span, "routes": ev.arg}),
         EventKind::BgpTransition => json!({"to": ev.arg, "from": aux}),
         EventKind::LookupStart | EventKind::LookupEnd => unreachable!("folded into slices"),

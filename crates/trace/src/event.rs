@@ -35,17 +35,15 @@ pub enum EventKind {
     /// The control-plane writer drained one burst. `arg` = events
     /// drained, `aux` = events coalesced away.
     WriterBurst = 5,
-    /// One spanned route update was applied and published on the
-    /// primary replica. `span` = the update's span, `arg` = the
-    /// published snapshot version.
+    /// One spanned route update was applied and published. `span` = the
+    /// update's span, `arg` = the published snapshot version.
     UpdateApply = 6,
-    /// The writer converged one replica to a burst. `arg` = the
-    /// published snapshot version, `aux` = replica index.
-    ReplicaPublish = 7,
+    /// The writer published the snapshot of one burst. `arg` = the
+    /// published snapshot version.
+    Publish = 7,
     /// A worker's per-batch snapshot acquisition first observed a new
     /// snapshot version — the first lookup served against that
-    /// published state. `arg` = the adopted version, `aux` = worker in
-    /// the low 24 bits, replica in the high 8.
+    /// published state. `arg` = the adopted version, `aux` = worker.
     SnapshotAdopt = 8,
     /// A BGP UPDATE was accepted in Established and its route events
     /// handed to the control plane. `span` = the span allocated for the
@@ -68,7 +66,7 @@ impl EventKind {
             4 => EventKind::LookupEnd,
             5 => EventKind::WriterBurst,
             6 => EventKind::UpdateApply,
-            7 => EventKind::ReplicaPublish,
+            7 => EventKind::Publish,
             8 => EventKind::SnapshotAdopt,
             9 => EventKind::SpanAccept,
             10 => EventKind::BgpTransition,
@@ -99,7 +97,7 @@ pub struct TraceEvent {
     pub arg: u64,
     /// Event kind discriminant ([`EventKind`] wire value).
     pub kind: u32,
-    /// Kind-specific small payload (worker, replica, tier…).
+    /// Kind-specific small payload (worker, tier…).
     pub aux: u32,
 }
 

@@ -4,23 +4,22 @@
 //! counters (`poptrie-telemetry`) say *how much*; this crate says
 //! *where and when*: which batch waited, which dispatch tier served it,
 //! which snapshot version a worker adopted, and how one BGP UPDATE
-//! flowed through the engine writer to every NUMA replica and to the
-//! first lookup served against the published state.
+//! flowed through the engine writer to a published snapshot and to the
+//! first lookup served against it.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero cost when absent.** Consumers gate every call site behind
-//!    a `trace` cargo feature (the same technique as `telemetry`), so
-//!    the default build contains no recorder code at all — CI greps the
-//!    release artifacts to prove it.
+//!    the `observe` cargo feature, so the default build contains no
+//!    recorder code at all — CI greps the release artifacts to prove it.
 //! 2. **Cheap enough to leave on.** One SPSC ring per recording thread
 //!    ([`Recorder::register`]), fixed 32-byte binary events, a
 //!    deterministic 1-in-N sampling gate ([`RingWriter::tick`]), and
 //!    bounded memory with overwrite-oldest semantics.
 //! 3. **Explainable traces.** Span IDs thread one route update from BGP
 //!    acceptance ([`EventKind::SpanAccept`]) through writer apply and
-//!    per-replica publish to the first worker lookup on the new
-//!    snapshot, turning `EngineReport` convergence percentiles into
+//!    publish ([`EventKind::Publish`]) to the first worker lookup on the
+//!    new snapshot, turning `EngineReport` convergence percentiles into
 //!    inspectable event chains.
 //! 4. **Memory-hierarchy attribution.** [`PerfGroup`] wraps Linux
 //!    `perf_event_open` (cycles, instructions, L1d/LLC read misses,

@@ -174,13 +174,8 @@ fn chrome_export_folds_lookup_slices() {
         1_000,
         pack_worker_tier(0, 1),
     );
-    w.record_at(
-        4_000,
-        EventKind::SnapshotAdopt,
-        0,
-        7,
-        pack_worker_tier(0, 0),
-    );
+    w.record_at(3_500, EventKind::Publish, 0, 7, 0);
+    w.record_at(4_000, EventKind::SnapshotAdopt, 0, 7, 3);
     // Through the rendered text, as the artifact is read back.
     let json = Json::parse(&chrome_trace_json(&rec.drain()).to_string()).unwrap();
     let events = json
@@ -205,7 +200,16 @@ fn chrome_export_folds_lookup_slices() {
         "1000ns = 1.000us duration"
     );
     assert_eq!(slice.get("cat").and_then(Json::as_str), Some("avx2"));
-    named("trace/snapshot_adopt");
+    assert_eq!(
+        named("trace/publish").get("args"),
+        Some(&poptrie_telemetry::json!({"version": 7u64})),
+        "a publish carries its version only"
+    );
+    assert_eq!(
+        named("trace/snapshot_adopt").get("args"),
+        Some(&poptrie_telemetry::json!({"version": 7u64, "worker": 3u64})),
+        "an adoption carries its version and worker"
+    );
     assert_eq!(
         named("thread_name")
             .pointer("/args/name")

@@ -175,9 +175,10 @@ impl<K: Bits> VrfTable<K> {
         self.read().get(id.index()).cloned()
     }
 
-    /// A lookup snapshot of table `id` (see [`SharedFib::snapshot`]).
+    /// A lookup snapshot of table `id` (see [`SharedFib::snapshot`]),
+    /// taken under one read of the registry.
     pub fn snapshot(&self, id: VrfId) -> Option<Arc<FibSnapshot<K>>> {
-        self.get(id).map(|t| t.snapshot())
+        self.read().get(id.index()).map(|t| t.snapshot())
     }
 
     /// Apply an update batch to table `id` under its own writer lock,
