@@ -196,8 +196,8 @@ experiments: table1 table2 table3 table4 table5 table6
                       on a broken span chain or phase-counter mismatch
              vrf      multi-tenant VRF scale: compile 1024 tenant FIBs
                       (4096 under --full) from one base feed plus
-                      per-tenant deltas into a shared leaf arena with
-                      next-hop interning, against an unshared baseline;
+                      per-tenant deltas into one shared leaf store with
+                      next-hop interning, against unshared leaves;
                       then churn one tenant through the engine's control
                       plane while VRF-keyed lookups are served across
                       the whole group. Gates on exact cross-table
@@ -1139,17 +1139,18 @@ fn slo_run(
 ///
 /// Provisions a family of tenant FIBs — one dense base feed plus a small
 /// per-tenant delta, the VPN regime where tables are overwhelmingly
-/// byte-identical — twice: into a `VrfTable` sharing one interned leaf
-/// arena, and into an unshared baseline. Reports bytes/route for both
-/// (shared storage counted once) and the reduction interning buys. Then
+/// byte-identical — into a `VrfTable` sharing one interned leaf store.
+/// Reports bytes/route for the group (shared storage counted once) and
+/// for the same tenants with unshared leaves (one slot per leaf, the
+/// paper's accounting), and the reduction interning buys. Then
 /// attaches the shared registry to the forwarding engine and, while
 /// VRF-keyed lookup batches fan out across the whole group, churns one
 /// tenant through the control plane, probing an untouched tenant's
 /// snapshot for oracle-exact answers and a stable version throughout.
 ///
 /// Hard gates (nonzero exit): exact cross-table reference reconciliation
-/// (every table's leaf-block references sum to the interner's total, and
-/// the interner's own invariants hold), zero isolation mismatches, an
+/// (every table's leaf-block references sum to the store's total, and
+/// the store's own invariants hold), zero isolation mismatches, an
 /// oracle-exact churned tenant, and a >= 25% bytes/route reduction.
 fn vrf_cmd(ctx: &mut Ctx, threads: usize, tenants: usize) {
     use poptrie::sync::SharedFib;
@@ -1167,7 +1168,7 @@ fn vrf_cmd(ctx: &mut Ctx, threads: usize, tenants: usize) {
     let batch_keys = 256usize;
     let probe_count = 4096usize;
 
-    println!("== repro vrf: {tenants} tenant FIBs over a shared interned leaf arena ==\n");
+    println!("== repro vrf: {tenants} tenant FIBs over one shared interned leaf store ==\n");
 
     // The tenant family. Each base group is 64 consecutive /26es on a
     // /20-aligned base with next hops cycling through a small pool (a
@@ -1222,17 +1223,10 @@ fn vrf_cmd(ctx: &mut Ctx, threads: usize, tenants: usize) {
 
     let config = PoptrieConfig::new().direct_bits(8).build().unwrap();
 
-    // Unshared baseline first: its measured leaf total sizes the shared
-    // arena (with generous margin for churn and per-tenant deltas).
-    let t0 = Instant::now();
-    let private: VrfTable<u32> = VrfTable::private(config);
-    for i in 0..tenants {
-        private.create_from(rib_of(i));
-    }
-    let private_build = t0.elapsed();
-    let pm = private.memory();
-
-    let per_table_slots = pm.private_leaf_bytes / 2 / tenants.max(1);
+    // Tenant 0's unshared leaf count sizes the store (with generous
+    // margin for churn and per-tenant deltas).
+    let tenant0: Poptrie<u32> = Builder::from_config(&config).build(&rib_of(0));
+    let per_table_slots = tenant0.stats().leaves;
     let capacity =
         (per_table_slots * 4 + tenants * delta_routes * 8 + (1 << 17)).next_power_of_two() as u32;
     let t0 = Instant::now();
@@ -1243,8 +1237,12 @@ fn vrf_cmd(ctx: &mut Ctx, threads: usize, tenants: usize) {
     let shared_build = t0.elapsed();
     let sm = shared.memory();
     let intern = shared.intern_stats().expect("shared registry");
+    // The same tenants with unshared leaves: the node and direct bytes
+    // plus one two-byte slot per leaf.
+    let private_total = sm.node_bytes + sm.direct_bytes + sm.unshared_leaf_bytes;
+    let private_bpr = private_total as f64 / sm.routes as f64;
 
-    let reduction = 1.0 - sm.bytes_per_route() / pm.bytes_per_route();
+    let reduction = 1.0 - sm.bytes_per_route() / private_bpr;
 
     // Phase 2: the engine. VRF-keyed lookups fan out over every tenant
     // while the control plane churns tenant 0; tenant 1 must stay
@@ -1344,45 +1342,41 @@ fn vrf_cmd(ctx: &mut Ctx, threads: usize, tenants: usize) {
     let intern_after = shared.intern_stats().expect("shared registry");
 
     // Exact reconciliation, after everything: every table's leaf-block
-    // references must sum to the interner's total and both registries'
-    // structural audits must pass.
+    // references must sum to the store's total and every structural
+    // audit must pass.
     let shared_audit = shared.audit();
-    let private_audit = private.audit();
 
     let mut t = Table::new(vec!["Metric", "Private", "Shared"]);
-    t.row(vec![
-        "tables x routes".into(),
-        format!("{} x {}", pm.tables, pm.routes / pm.tables.max(1)),
-        format!("{} x {}", sm.tables, sm.routes / sm.tables.max(1)),
-    ]);
+    let tables = format!("{} x {}", sm.tables, sm.routes / sm.tables.max(1));
+    t.row(vec!["tables x routes".into(), tables.clone(), tables]);
     t.row(vec![
         "build time".into(),
-        format!("{:.2}s", private_build.as_secs_f64()),
+        "-".into(),
         format!("{:.2}s", shared_build.as_secs_f64()),
     ]);
     t.row(vec![
         "node bytes".into(),
-        mib(pm.node_bytes),
+        mib(sm.node_bytes),
         mib(sm.node_bytes),
     ]);
     t.row(vec![
         "direct bytes".into(),
-        mib(pm.direct_bytes),
+        mib(sm.direct_bytes),
         mib(sm.direct_bytes),
     ]);
     t.row(vec![
         "leaf bytes".into(),
-        mib(pm.private_leaf_bytes),
+        mib(sm.unshared_leaf_bytes),
         format!("{} (store, once)", mib(sm.shared_store_bytes)),
     ]);
     t.row(vec![
         "total bytes".into(),
-        mib(pm.total_bytes()),
+        mib(private_total),
         mib(sm.total_bytes()),
     ]);
     t.row(vec![
         "bytes/route".into(),
-        format!("{:.1}", pm.bytes_per_route()),
+        format!("{private_bpr:.1}"),
         format!("{:.1}", sm.bytes_per_route()),
     ]);
     print!("{}", t.render());
@@ -1416,9 +1410,6 @@ fn vrf_cmd(ctx: &mut Ctx, threads: usize, tenants: usize) {
     let mut failures: Vec<String> = Vec::new();
     if let Err(e) = &shared_audit {
         failures.push(format!("shared registry audit failed: {e}"));
-    }
-    if let Err(e) = &private_audit {
-        failures.push(format!("private registry audit failed: {e}"));
     }
     if reduction < 0.25 {
         failures.push(format!(
@@ -1462,10 +1453,9 @@ fn vrf_cmd(ctx: &mut Ctx, threads: usize, tenants: usize) {
         "experiment": "vrf", "quick": ctx.quick, "tenants": tenants, "routes": sm.routes,
         "threads": threads,
         "private": json!({
-            "node_bytes": pm.node_bytes, "direct_bytes": pm.direct_bytes,
-            "leaf_bytes": pm.private_leaf_bytes, "total_bytes": pm.total_bytes(),
-            "bytes_per_route": pm.bytes_per_route(),
-            "build_ms": private_build.as_secs_f64() * 1e3,
+            "node_bytes": sm.node_bytes, "direct_bytes": sm.direct_bytes,
+            "leaf_bytes": sm.unshared_leaf_bytes, "total_bytes": private_total,
+            "bytes_per_route": private_bpr,
         }),
         "shared": json!({
             "node_bytes": sm.node_bytes, "direct_bytes": sm.direct_bytes,
@@ -1493,7 +1483,7 @@ fn vrf_cmd(ctx: &mut Ctx, threads: usize, tenants: usize) {
         }),
         "lookup": json!({"vrf_packets": report.vrf_packets, "agg_mlps": agg_mlps}),
         "reconciliation": json!({
-            "shared_audit_ok": shared_audit.is_ok(), "private_audit_ok": private_audit.is_ok(),
+            "shared_audit_ok": shared_audit.is_ok(),
             "interner_refs": intern_after.total_refs,
         }),
     });

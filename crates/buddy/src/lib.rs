@@ -32,9 +32,6 @@
 
 use std::collections::BTreeSet;
 
-pub mod arena;
-pub use arena::{ArenaHandle, ArenaOwner};
-
 /// Maximum block order supported (2^30 slots ≈ 1 G entries), far beyond any
 /// routing-table need; §5 of the paper projects 10^8 routes.
 const MAX_ORDER: usize = 30;
@@ -152,20 +149,6 @@ impl Buddy {
         }
     }
 
-    /// Allocate a contiguous run of at least `n` slots (`n > 0`) **without
-    /// growing** the managed capacity. Returns `None` when no free block of
-    /// the rounded size exists — the fixed-arena admission path
-    /// ([`arena::ArenaOwner::fixed`]) uses this so exhaustion is a
-    /// recoverable condition, not an unbounded growth event.
-    pub fn try_alloc(&mut self, n: u32) -> Option<u32> {
-        assert!(n > 0, "cannot allocate an empty run");
-        let order = order_of(n);
-        let off = self.take_block(order)?;
-        self.allocated += 1 << order;
-        self.live_blocks += 1;
-        Some(off)
-    }
-
     /// Release the run previously returned by [`Buddy::alloc`] with the same
     /// `n`. Merges buddies eagerly.
     ///
@@ -190,7 +173,7 @@ impl Buddy {
         // with its buddy into a larger span, a second free of the same
         // offset would pass that check and silently corrupt the
         // accounting — the failure mode that shows up as "impossible"
-        // overlap under multi-table arena sharing. `is_live_block` walks
+        // overlap when many tables share one leaf store. `is_live_block` walks
         // every order's free set, so it also rejects a free inside an
         // already-free coalesced span.
         assert!(

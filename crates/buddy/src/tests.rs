@@ -82,7 +82,7 @@ fn double_free_panics() {
 #[test]
 #[should_panic(expected = "non-live block")]
 fn double_free_into_coalesced_span_panics() {
-    // Regression for the shared-arena hardening: free two sibling blocks
+    // Regression for the double-free hardening: free two sibling blocks
     // so they coalesce into a larger span, then free one of them again.
     // The exact-block check alone (`free[order].contains(&off)`) misses
     // this — the order-2 block no longer exists, its span lives at a
@@ -101,20 +101,6 @@ fn double_free_into_coalesced_span_panics() {
 fn zero_alloc_panics() {
     let mut b = Buddy::new();
     b.alloc(0);
-}
-
-#[test]
-fn try_alloc_never_grows() {
-    let mut b = Buddy::with_capacity(16);
-    let cap = b.capacity();
-    let a = b.try_alloc(8).unwrap();
-    let c = b.try_alloc(8).unwrap();
-    assert_ne!(a, c);
-    assert!(b.try_alloc(1).is_none(), "exhausted, must not grow");
-    assert_eq!(b.capacity(), cap);
-    b.free(a, 8);
-    assert_eq!(b.try_alloc(8), Some(a), "freed block becomes available");
-    b.check_invariants().unwrap();
 }
 
 #[test]
@@ -280,114 +266,5 @@ mod prop {
                 b.check_invariants().map_err(TestCaseError::fail)?;
             }
         }
-    }
-}
-
-mod arena {
-    use crate::{ArenaOwner, Buddy};
-    use poptrie_rng::prelude::*;
-    use std::collections::HashMap;
-
-    #[test]
-    fn two_handles_interleaved_do_not_corrupt_live_maps() {
-        // The satellite bugfix regression: two tables carving blocks out
-        // of one arena, interleaved, with churn. Cross-table frees must
-        // leave each table's live blocks intact and the arena-global
-        // accounting exact.
-        let owner = ArenaOwner::growable();
-        let (ha, hb) = (owner.handle(), owner.handle());
-        let mut rng = StdRng::seed_from_u64(0xA1);
-        let mut live_a: HashMap<u32, u32> = HashMap::new();
-        let mut live_b: HashMap<u32, u32> = HashMap::new();
-        for step in 0..10_000 {
-            let (h, live) = if step % 2 == 0 {
-                (&ha, &mut live_a)
-            } else {
-                (&hb, &mut live_b)
-            };
-            if live.is_empty() || rng.gen_bool(0.55) {
-                let n = rng.gen_range(1..=64);
-                let off = h.alloc(n);
-                assert!(live.insert(off, n).is_none(), "offset reuse while live");
-            } else {
-                let &off = live.keys().choose(&mut rng).unwrap();
-                let n = live.remove(&off).unwrap();
-                h.free(off, n);
-            }
-            if step % 1024 == 0 {
-                owner.check_invariants().unwrap();
-                // Every block either table believes live is live in the
-                // arena; no offset is claimed by both.
-                for (&off, &n) in &live_a {
-                    assert!(ha.is_live_block(off, n));
-                    assert!(!live_b.contains_key(&off), "offset owned by both tables");
-                }
-                for (&off, &n) in &live_b {
-                    assert!(hb.is_live_block(off, n));
-                }
-            }
-        }
-        // Per-handle accounting reconciles exactly against each table's
-        // own ledger, and their sum against the arena.
-        let rounded = |m: &HashMap<u32, u32>| m.values().map(|&n| Buddy::rounded(n)).sum::<u32>();
-        assert_eq!(ha.allocated_slots(), rounded(&live_a));
-        assert_eq!(hb.allocated_slots(), rounded(&live_b));
-        assert_eq!(ha.live_blocks(), live_a.len() as u32);
-        assert_eq!(hb.live_blocks(), live_b.len() as u32);
-        assert_eq!(
-            ha.arena_allocated_slots(),
-            ha.allocated_slots() + hb.allocated_slots()
-        );
-        assert_eq!(ha.arena_live_blocks(), ha.live_blocks() + hb.live_blocks());
-        // Fragmentation/free_spans stay coherent under the split: spans +
-        // allocated cover the capacity exactly.
-        let frag = owner.fragmentation();
-        let free_total: u64 = ha.free_spans().iter().map(|&(s, e)| (e - s) as u64).sum();
-        assert_eq!(
-            free_total + frag.allocated_slots as u64,
-            frag.capacity as u64
-        );
-        for (off, n) in live_a.drain() {
-            ha.free(off, n);
-        }
-        for (off, n) in live_b.drain() {
-            hb.free(off, n);
-        }
-        assert_eq!(ha.arena_allocated_slots(), 0);
-        owner.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn fixed_arena_refuses_growth() {
-        let owner = ArenaOwner::fixed(64);
-        let h = owner.handle();
-        let cap = owner.capacity();
-        assert!(cap >= 64);
-        let mut offs = Vec::new();
-        while let Some(off) = h.try_alloc(8) {
-            offs.push(off);
-        }
-        assert_eq!(offs.len() as u32, cap / 8, "filled exactly, never grew");
-        assert_eq!(owner.capacity(), cap);
-        assert!(h.try_alloc(1).is_none());
-        for off in offs {
-            h.free(off, 8);
-        }
-        assert_eq!(h.allocated_slots(), 0);
-    }
-
-    #[test]
-    fn cloned_handle_shares_accounting() {
-        let owner = ArenaOwner::growable();
-        let h = owner.handle();
-        let h2 = h.clone();
-        assert!(h.same_arena(&h2));
-        let off = h.alloc(16);
-        assert_eq!(h2.allocated_slots(), 16);
-        h2.free(off, 16);
-        assert_eq!(h.allocated_slots(), 0);
-        let other = owner.handle();
-        assert!(h.same_arena(&other));
-        assert_eq!(other.allocated_slots(), 0, "fresh handle, fresh ledger");
     }
 }

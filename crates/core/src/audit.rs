@@ -6,22 +6,28 @@
 //! invariants long before a lookup goes wrong — a leaf block freed but
 //! still referenced keeps returning stale (plausible!) next hops until the
 //! allocator hands the slots to someone else. [`PoptrieImpl::audit`]
-//! therefore cross-checks the compiled structure against the buddy
-//! allocators' own allocation maps:
+//! therefore cross-checks the compiled structure against the node buddy
+//! allocator's own allocation map and the leaf store's extent ledger:
 //!
 //! * **`vector`/`leafvec` disjointness** — a chunk slot is either an
 //!   internal child or part of a leaf run, never both (§3.3: leafvec bits
 //!   are only set on leaf slots; internal slots are the punched holes).
 //! * **Block liveness** — every child block `[base1, base1+popcnt(vector))`
-//!   and leaf block `[base0, base0+leaf_count)` the trie references must be
-//!   a *live* allocation in the corresponding buddy allocator
-//!   ([`Buddy::is_live_block`]), i.e. not freed, not dangling into a hole.
-//! * **Block disjointness** — no two referenced blocks may share rounded
-//!   extents (aliasing: one node's refresh would corrupt another's data).
+//!   must be a *live* allocation of the node buddy
+//!   ([`Buddy::is_live_block`]), and every leaf block
+//!   `[base0, base0+leaf_count)` a live extent of the leaf store: not
+//!   freed, not dangling into a hole.
+//! * **Block disjointness** — no two referenced node blocks, and no two
+//!   distinct leaf extents, may share rounded extents (aliasing: one
+//!   node's refresh would corrupt another's data). Several nodes may share
+//!   one leaf extent: equal blocks are interned once.
 //! * **Leak / double-free accounting** — the number and rounded size of
-//!   reachable blocks must equal the allocators' `live_blocks()` /
-//!   `allocated_slots()` exactly: more means a leak, fewer means the trie
-//!   references freed space.
+//!   reachable node blocks must equal the node buddy's `live_blocks()` /
+//!   `allocated_slots()` exactly. For a table with a leaf store of its
+//!   own, every extent's reference count must equal the number of nodes
+//!   that reference it, no other extent may be live, and the store's
+//!   buddy must hold exactly its live and retired extents. A table of a
+//!   VRF group is checked that way across the group by `VrfTable::audit`.
 //! * **Count reconciliation** — `inode_count` / `leaf_count` must match a
 //!   full traversal, and direct leaf entries must carry no stray bits
 //!   above the 16-bit next hop.
@@ -52,12 +58,10 @@ pub struct AuditReport {
     pub node_blocks: usize,
     /// Live leaf blocks (distinct extents).
     pub leaf_blocks: usize,
-    /// References to leaf blocks from this table's nodes. Equals
-    /// [`leaf_blocks`](AuditReport::leaf_blocks) for a private table; for
-    /// a shared-leaves (VRF) table it may exceed it — several nodes of the
-    /// same table can intern byte-identical blocks into one extent — and
-    /// summing it across every table of a VRF group must reproduce the
-    /// interner's `total_refs()` exactly.
+    /// References to leaf blocks from this table's nodes. It may exceed
+    /// [`leaf_blocks`](AuditReport::leaf_blocks): several nodes can intern
+    /// byte-identical blocks into one extent. Summed across every table
+    /// of a leaf store, it must reproduce the store's `total_refs`.
     pub leaf_block_refs: usize,
     /// Node slots reserved, after buddy power-of-two rounding.
     pub node_slots_rounded: u64,
@@ -67,17 +71,13 @@ pub struct AuditReport {
     pub max_depth: u32,
 }
 
-/// Rounded extents of the blocks a traversal reached, per allocator.
+/// Rounded extents of the node blocks a traversal reached.
 struct BlockSet {
     /// `(offset, rounded_len)` of every referenced block.
     blocks: Vec<(u32, u32)>,
 }
 
 impl BlockSet {
-    fn new() -> Self {
-        BlockSet { blocks: Vec::new() }
-    }
-
     /// Record a referenced block and check it is live in `buddy`.
     fn record(&mut self, buddy: &Buddy, off: u32, n: u32, what: &str) -> Result<(), String> {
         if !buddy.is_live_block(off, n) {
@@ -91,14 +91,14 @@ impl BlockSet {
 
     /// Verify the recorded blocks are pairwise disjoint and account for
     /// `buddy`'s entire outstanding allocation.
-    fn reconcile(mut self, buddy: &Buddy, what: &str) -> Result<(usize, u64), String> {
+    fn reconcile(mut self, buddy: &Buddy) -> Result<(usize, u64), String> {
         self.blocks.sort_unstable();
         for w in self.blocks.windows(2) {
             let (a_off, a_len) = w[0];
             let (b_off, _) = w[1];
             if a_off + a_len > b_off {
                 return Err(format!(
-                    "aliased {what} blocks: [{a_off}, {a_off}+{a_len}) overlaps one at {b_off}"
+                    "aliased node blocks: [{a_off}, {a_off}+{a_len}) overlaps one at {b_off}"
                 ));
             }
         }
@@ -106,49 +106,26 @@ impl BlockSet {
         let rounded: u64 = self.blocks.iter().map(|&(_, l)| l as u64).sum();
         if count as u32 != buddy.live_blocks() {
             return Err(format!(
-                "{what} block leak: traversal reached {count} blocks, allocator has {} outstanding",
+                "node block leak: traversal reached {count} blocks, allocator has {} outstanding",
                 buddy.live_blocks()
             ));
         }
         if rounded != buddy.allocated_slots() as u64 {
             return Err(format!(
-                "{what} slot accounting: traversal covers {rounded} rounded slots, allocator says {}",
+                "node slot accounting: traversal covers {rounded} rounded slots, allocator says {}",
                 buddy.allocated_slots()
             ));
         }
-        Ok((count, rounded))
-    }
-
-    /// The shared-leaves variant of [`BlockSet::reconcile`]: several nodes
-    /// of the table may legitimately reference the *same* interned extent,
-    /// so duplicates are collapsed before the disjointness check, and
-    /// there is no per-table allocator to reconcile totals against (the
-    /// arena is group-wide; `NextHopIntern::check_invariants` reconciles
-    /// it exactly, and summed [`AuditReport::leaf_block_refs`] cross-check
-    /// `total_refs()`). Returns `(distinct_blocks, rounded_slots)`.
-    fn reconcile_shared(mut self, what: &str) -> Result<(usize, u64), String> {
-        self.blocks.sort_unstable();
-        self.blocks.dedup();
-        for w in self.blocks.windows(2) {
-            let (a_off, a_len) = w[0];
-            let (b_off, _) = w[1];
-            if a_off + a_len > b_off {
-                return Err(format!(
-                    "aliased {what} extents: [{a_off}, {a_off}+{a_len}) overlaps one at {b_off}"
-                ));
-            }
-        }
-        let count = self.blocks.len();
-        let rounded: u64 = self.blocks.iter().map(|&(_, l)| l as u64).sum();
         Ok((count, rounded))
     }
 }
 
 impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
     /// Audit the full set of structural invariants (see the module docs):
-    /// `vector`/`leafvec` disjointness, buddy-allocator block liveness,
-    /// disjointness and leak accounting, and count reconciliation. Returns
-    /// a summary of what was verified, or the first violation found.
+    /// `vector`/`leafvec` disjointness, block liveness, disjointness and
+    /// leak accounting in the node buddy and the leaf store, and count
+    /// reconciliation. Returns a summary of what was verified, or the
+    /// first violation found.
     ///
     /// This is the correctness backstop for the §3.5 incremental-update
     /// path; the churn-fuzz harness calls it after every batch of
@@ -157,13 +134,10 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         self.node_buddy
             .check_invariants()
             .map_err(|e| format!("node allocator: {e}"))?;
-        self.leaf_buddy
-            .check_invariants()
-            .map_err(|e| format!("leaf allocator: {e}"))?;
 
         let mut report = AuditReport::default();
-        let mut node_blocks = BlockSet::new();
-        let mut leaf_blocks = BlockSet::new();
+        let mut node_blocks = BlockSet { blocks: Vec::new() };
+        let mut leaf_blocks: Vec<(u32, u32)> = Vec::new();
 
         let mut roots: Vec<u32> = Vec::new();
         if self.s == 0 {
@@ -204,13 +178,9 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
                 report.leaves, self.leaf_count
             ));
         }
-        report.leaf_block_refs = leaf_blocks.blocks.len();
-        let (nb, ns) = node_blocks.reconcile(&self.node_buddy, "node")?;
-        let (lb, ls) = if self.shared_leaves.is_some() {
-            leaf_blocks.reconcile_shared("leaf")?
-        } else {
-            leaf_blocks.reconcile(&self.leaf_buddy, "leaf")?
-        };
+        report.leaf_block_refs = leaf_blocks.len();
+        let (nb, ns) = node_blocks.reconcile(&self.node_buddy)?;
+        let (lb, ls) = self.store.audit_table(&mut leaf_blocks)?;
         report.node_blocks = nb;
         report.node_slots_rounded = ns;
         report.leaf_blocks = lb;
@@ -224,7 +194,7 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         depth: u32,
         report: &mut AuditReport,
         node_blocks: &mut BlockSet,
-        leaf_blocks: &mut BlockSet,
+        leaf_blocks: &mut Vec<(u32, u32)>,
     ) -> Result<(), String> {
         if depth > K::BITS.div_ceil(6) {
             return Err(format!(
@@ -250,26 +220,7 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             if node.base0() as usize + nleaves as usize > self.leaf_slots() {
                 return Err(format!("node {idx}: leaf block out of bounds"));
             }
-            match &self.shared_leaves {
-                Some(h) => {
-                    // Liveness probe goes to the group interner; the
-                    // same extent may be recorded by several nodes
-                    // (collapsed in `reconcile_shared`).
-                    if !h.is_live_block(node.base0(), nleaves) {
-                        return Err(format!(
-                            "node {idx}: leaf extent [{}, {}+{nleaves}) is not live in the shared arena",
-                            node.base0(),
-                            node.base0()
-                        ));
-                    }
-                    leaf_blocks
-                        .blocks
-                        .push((node.base0(), Buddy::rounded(nleaves)));
-                }
-                None => {
-                    leaf_blocks.record(&self.leaf_buddy, node.base0(), nleaves, "leaf block")?
-                }
-            }
+            leaf_blocks.push((node.base0(), nleaves));
         }
         // Every relevant (leaf) slot must resolve inside the node's own
         // leaf block: rank in 1..=nleaves.

@@ -142,8 +142,8 @@ unsafe fn walk<K: Bits, N: NodeRepr, const WIDE: bool>(
     let mut leaf_mask = 0u32;
 
     let nodes_ptr = t.nodes.as_ptr();
-    // Private leaf array, or the shared slab in VRF mode — either way a
-    // flat `u16` index space the structural invariant keeps us inside.
+    // The leaf store's slab: a flat `u16` index space the structural
+    // invariant keeps us inside.
     let leaves_ptr = t.leaf_base_ptr();
     let base = nodes_ptr as *const u8;
     let mut vecw = [0u64; SIMD_LANES];

@@ -14,6 +14,7 @@ use poptrie_buddy::Buddy;
 use poptrie_rib::radix::Node as RadixNode;
 use poptrie_rib::{NextHop, RadixTree, NO_ROUTE};
 
+use crate::leaf_store::LeafStore;
 use crate::node::{Node24, NodeRepr};
 use crate::trie::{PoptrieImpl, DIRECT_LEAF_BIT};
 
@@ -39,8 +40,6 @@ pub struct Builder<K: Bits, N: NodeRepr = Node24> {
     s: u8,
     aggregate: bool,
     node_capacity: u32,
-    leaf_capacity: u32,
-    shared_leaves: Option<crate::shared_leaves::LeafStoreHandle>,
     _marker: core::marker::PhantomData<(K, N)>,
 }
 
@@ -58,14 +57,12 @@ impl<K: Bits, N: NodeRepr> Builder<K, N> {
             s: 18,
             aggregate: true,
             node_capacity: 0,
-            leaf_capacity: 0,
-            shared_leaves: None,
             _marker: core::marker::PhantomData,
         }
     }
 
     /// A builder shaped by a validated [`PoptrieConfig`](crate::PoptrieConfig)
-    /// (direct-pointing size, aggregation, arena reservations).
+    /// (direct-pointing size, aggregation, node-arena reservation).
     ///
     /// ```
     /// use poptrie::{Poptrie, Builder, PoptrieConfig};
@@ -88,7 +85,6 @@ impl<K: Bits, N: NodeRepr> Builder<K, N> {
             .direct_bits(config.direct_bits)
             .aggregate(config.aggregate);
         b.node_capacity = config.node_capacity;
-        b.leaf_capacity = config.leaf_capacity;
         b
     }
 
@@ -115,22 +111,25 @@ impl<K: Bits, N: NodeRepr> Builder<K, N> {
         self
     }
 
-    /// Resolve leaves out of a cross-table shared store instead of a
-    /// private array: every leaf block becomes a content-interned extent
-    /// of the handle's fixed arena, deduplicated against every other
-    /// table in the same VRF group (see [`crate::shared_leaves`]).
-    ///
-    /// # Panics (at [`Builder::build`] time)
-    ///
-    /// Compilation panics if the shared arena cannot fit a new extent —
-    /// size the arena for the provisioned tenant set.
-    pub fn shared_leaves(mut self, handle: crate::shared_leaves::LeafStoreHandle) -> Self {
-        self.shared_leaves = Some(handle);
-        self
+    /// Compile `rib` into a Poptrie with a leaf store of its own.
+    pub fn build(&self, rib: &RadixTree<K, NextHop>) -> PoptrieImpl<K, N> {
+        self.build_in(rib, &LeafStore::new(0))
     }
 
-    /// Compile `rib` into a Poptrie.
-    pub fn build(&self, rib: &RadixTree<K, NextHop>) -> PoptrieImpl<K, N> {
+    /// Compile `rib` into a Poptrie whose leaf blocks are interned in
+    /// `store`, deduplicated against every other table built into it
+    /// (see [`crate::leaf_store`]).
+    pub fn build_in(&self, rib: &RadixTree<K, NextHop>, store: &LeafStore) -> PoptrieImpl<K, N> {
+        self.build_with(rib, store.join())
+    }
+
+    /// Compile `rib` into a Poptrie reading and interning through the
+    /// writer's handle `store`.
+    pub(crate) fn build_with(
+        &self,
+        rib: &RadixTree<K, NextHop>,
+        store: LeafStore,
+    ) -> PoptrieImpl<K, N> {
         let aggregated;
         let rib = if self.aggregate {
             aggregated = rib.aggregated();
@@ -141,16 +140,8 @@ impl<K: Bits, N: NodeRepr> Builder<K, N> {
         let mut trie = PoptrieImpl {
             direct: Vec::new(),
             nodes: Vec::new(),
-            leaves: Vec::new(),
+            store,
             node_buddy: Buddy::with_capacity(self.node_capacity),
-            // In shared mode the private leaf allocator stays empty: leaf
-            // extents come from the shared handle's arena instead.
-            leaf_buddy: if self.shared_leaves.is_some() {
-                Buddy::new()
-            } else {
-                Buddy::with_capacity(self.leaf_capacity)
-            },
-            shared_leaves: self.shared_leaves.clone(),
             root: 0,
             inode_count: 0,
             leaf_count: 0,
@@ -186,63 +177,24 @@ pub(crate) fn alloc_nodes<K: Bits, N: NodeRepr>(trie: &mut PoptrieImpl<K, N>, n:
     off
 }
 
-/// Allocate a run of `n` leaf slots, growing like [`alloc_nodes`].
-/// Private-mode only; shared-mode callers go through [`install_leaves`].
-pub(crate) fn alloc_leaves<K: Bits, N: NodeRepr>(trie: &mut PoptrieImpl<K, N>, n: u32) -> u32 {
-    debug_assert!(trie.shared_leaves.is_none());
-    let off = trie.leaf_buddy.alloc(n);
-    trie.grow_leaves(trie.leaf_buddy.capacity() as usize);
-    off
-}
-
-/// Install the leaf block `vals` and return its offset: a private buddy
-/// allocation + copy, or (shared mode) a content-interned extent of the
-/// shared arena. Updates `leaf_count`.
-///
-/// # Panics
-///
-/// Panics when a shared arena cannot fit a new extent: the arena is
-/// provisioned for the tenant set, so exhaustion is a deployment sizing
-/// error, not a recoverable per-route condition.
+/// Intern the leaf block `vals` in the trie's leaf store and return its
+/// offset. Updates `leaf_count`.
 pub(crate) fn install_leaves<K: Bits, N: NodeRepr>(
     trie: &mut PoptrieImpl<K, N>,
     vals: &[NextHop],
 ) -> u32 {
-    debug_assert!(!vals.is_empty());
-    let interned = trie.shared_leaves.as_ref().map(|h| {
-        h.intern(vals).unwrap_or_else(|| {
-            panic!(
-                "shared leaf arena exhausted interning a {}-leaf block; \
-                 provision a larger arena for this VRF group",
-                vals.len()
-            )
-        })
-    });
-    let off = match interned {
-        Some(off) => off,
-        None => {
-            let off = alloc_leaves(trie, vals.len() as u32);
-            trie.write_leaves(off as usize, vals);
-            off
-        }
-    };
     trie.leaf_count += vals.len();
-    off
+    trie.store.intern(vals)
 }
 
 /// Release the leaf block `[off, off + len)` previously installed with
-/// [`install_leaves`]: a private buddy free, or (shared mode) one
-/// interner reference dropped. Updates `leaf_count`.
+/// [`install_leaves`]. Updates `leaf_count`.
 pub(crate) fn release_leaves<K: Bits, N: NodeRepr>(
     trie: &mut PoptrieImpl<K, N>,
     off: u32,
     len: u32,
 ) {
-    debug_assert!(len > 0);
-    match &trie.shared_leaves {
-        Some(h) => h.release(off, len),
-        None => trie.leaf_buddy.free(off, len),
-    }
+    trie.store.release(off, len);
     trie.leaf_count -= len as usize;
 }
 

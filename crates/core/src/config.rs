@@ -2,7 +2,7 @@
 //!
 //! Before this module, the knobs that shape a Poptrie — the
 //! direct-pointing size `s` of §3.4, the §3.5 update strategy, §3's route
-//! aggregation, and the buddy-arena reservations — were positional
+//! aggregation, and the node-arena reservation — were positional
 //! parameters scattered across constructors (`Fib::from_rib(rib, 18,
 //! false)` read as "18 what? false what?"). [`PoptrieConfig`] gathers them
 //! into one validated, self-describing value:
@@ -55,9 +55,6 @@ pub struct PoptrieConfig {
     /// the final table size is known, e.g. before loading a full BGP
     /// table.
     pub node_capacity: u32,
-    /// Initial buddy-arena reservation for leaves, in slots (`0` = grow
-    /// on demand).
-    pub leaf_capacity: u32,
 }
 
 impl PoptrieConfig {
@@ -74,7 +71,6 @@ impl PoptrieConfig {
                 strategy: UpdateStrategy::NodeRefresh,
                 aggregate: true,
                 node_capacity: 0,
-                leaf_capacity: 0,
             },
         }
     }
@@ -129,12 +125,6 @@ impl PoptrieConfigBuilder {
         self
     }
 
-    /// Reserve `slots` leaf arena slots up front.
-    pub fn leaf_capacity(mut self, slots: u32) -> Self {
-        self.cfg.leaf_capacity = slots;
-        self
-    }
-
     /// Validate and produce the config.
     pub fn build(self) -> Result<PoptrieConfig, ConfigError> {
         let cfg = self.cfg;
@@ -142,11 +132,9 @@ impl PoptrieConfigBuilder {
             return Err(ConfigError::DirectBitsTooLarge(cfg.direct_bits));
         }
         // Node indices carry the DIRECT_LEAF_BIT tag in direct slots, so
-        // the arenas must stay below 2^31 slots.
-        if cfg.node_capacity >= DIRECT_LEAF_BIT || cfg.leaf_capacity >= DIRECT_LEAF_BIT {
-            return Err(ConfigError::CapacityTooLarge(
-                cfg.node_capacity.max(cfg.leaf_capacity),
-            ));
+        // the node arena must stay below 2^31 slots.
+        if cfg.node_capacity >= DIRECT_LEAF_BIT {
+            return Err(ConfigError::CapacityTooLarge(cfg.node_capacity));
         }
         Ok(cfg)
     }
@@ -159,7 +147,7 @@ pub enum ConfigError {
     /// `direct_bits` exceeds 24: the `2^s`-entry top-level array would
     /// exceed 64 MiB and fall out of cache.
     DirectBitsTooLarge(u8),
-    /// An arena reservation reaches 2^31 slots, colliding with the
+    /// The node-arena reservation reaches 2^31 slots, colliding with the
     /// direct-entry tag bit that distinguishes leaves from node indices.
     CapacityTooLarge(u32),
 }

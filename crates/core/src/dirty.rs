@@ -2,18 +2,19 @@
 //!
 //! [`SharedFib`](crate::sync::SharedFib) publishes by bringing a recycled
 //! snapshot up to date with the writer's trie. To copy only what changed,
-//! the writer's trie records which 64-byte lines of its `direct`, `nodes`
-//! and private `leaves` arrays were written: every array write in the
-//! builder and the incremental updater goes through one of the setters
-//! below, each of which marks the lines it touches. Whole-structure
-//! events (compilation, [`Fib::rebuild`](crate::Fib::rebuild),
-//! deserialization, and any change of an array's length) mark everything,
-//! and the next publish copies the arrays in full.
+//! the writer's trie records which 64-byte lines of its `direct` and
+//! `nodes` arrays were written: every array write in the builder and the
+//! incremental updater goes through one of the setters below, each of
+//! which marks the lines it touches. Leaves are not copied: they live in
+//! the trie's [leaf store](crate::leaf_store), which every snapshot
+//! shares. Whole-structure events (compilation,
+//! [`Fib::rebuild`](crate::Fib::rebuild), deserialization, and any change
+//! of an array's length) mark everything, and the next publish copies the
+//! arrays in full.
 
 use core::ops::Range;
 
 use poptrie_bitops::Bits;
-use poptrie_rib::NextHop;
 
 use crate::node::NodeRepr;
 use crate::trie::PoptrieImpl;
@@ -62,7 +63,6 @@ pub(crate) struct DirtyLines {
     all: bool,
     direct: LineSet,
     nodes: LineSet,
-    leaves: LineSet,
 }
 
 impl DirtyLines {
@@ -80,14 +80,13 @@ impl DirtyLines {
         self.all = false;
         self.direct.clear();
         self.nodes.clear();
-        self.leaves.clear();
     }
 }
 
 /// The work one [`PoptrieImpl::sync_from`] did.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Copied {
-    /// Bytes of `direct`, `nodes` and `leaves` copied.
+    /// Bytes of `direct` and `nodes` copied.
     pub(crate) bytes: usize,
     /// Whether every array was copied in full.
     pub(crate) full: bool,
@@ -149,26 +148,11 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         self.dirty.nodes.mark::<N>(i..i + 1);
     }
 
-    pub(crate) fn write_leaves(&mut self, off: usize, vals: &[NextHop]) {
-        let slots = off..off + vals.len();
-        self.leaves[slots.clone()].copy_from_slice(vals);
-        self.dirty.leaves.mark::<NextHop>(slots);
-    }
-
     /// Grow the node array to exactly `len` slots.
     pub(crate) fn grow_nodes(&mut self, len: usize) {
         if len > self.nodes.len() {
             self.nodes.reserve_exact(len - self.nodes.len());
             self.nodes.resize(len, N::new(0, 1, 0, 0));
-            self.dirty.all = true;
-        }
-    }
-
-    /// Grow the private leaf array to exactly `len` slots.
-    pub(crate) fn grow_leaves(&mut self, len: usize) {
-        if len > self.leaves.len() {
-            self.leaves.reserve_exact(len - self.leaves.len());
-            self.leaves.resize(len, poptrie_rib::NO_ROUTE);
             self.dirty.all = true;
         }
     }
@@ -181,7 +165,8 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
 
     /// Bring `self`, a copy of `src` that lacks the lines marked in
     /// `stale`, up to date with `src`: copy those lines and the ones `src`
-    /// marked since, then every scalar field and both allocators. A
+    /// marked since, then every scalar field and the node allocator, and
+    /// re-pin `self`'s leaf store handle on the slab `src` reads. A
     /// whole-structure mark or a length mismatch copies the arrays in
     /// full, reusing `self`'s allocations. `self`'s own marks are left
     /// alone: only a writer's trie reads them.
@@ -192,22 +177,18 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         let full = stale.all
             || src.dirty.all
             || self.direct.len() != src.direct.len()
-            || self.nodes.len() != src.nodes.len()
-            || self.leaves.len() != src.leaves.len();
+            || self.nodes.len() != src.nodes.len();
         let bytes = if full {
             self.direct.clone_from(&src.direct);
             self.nodes.clone_from(&src.nodes);
-            self.leaves.clone_from(&src.leaves);
             src.array_bytes()
         } else {
             let (d, n) = (&src.dirty, stale);
             copy_lines(&mut self.direct, &src.direct, &d.direct, &n.direct)
                 + copy_lines(&mut self.nodes, &src.nodes, &d.nodes, &n.nodes)
-                + copy_lines(&mut self.leaves, &src.leaves, &d.leaves, &n.leaves)
         };
-        self.shared_leaves.clone_from(&src.shared_leaves);
+        self.store.sync_from(&src.store);
         self.node_buddy.clone_from(&src.node_buddy);
-        self.leaf_buddy.clone_from(&src.leaf_buddy);
         self.root = src.root;
         self.inode_count = src.inode_count;
         self.leaf_count = src.leaf_count;
@@ -218,11 +199,10 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         Copied { bytes, full }
     }
 
-    /// Bytes held by the `direct`, `nodes` and `leaves` arrays.
+    /// Bytes held by the `direct` and `nodes` arrays.
     pub(crate) fn array_bytes(&self) -> usize {
         core::mem::size_of_val(self.direct.as_slice())
             + core::mem::size_of_val(self.nodes.as_slice())
-            + core::mem::size_of_val(self.leaves.as_slice())
     }
 
     /// Debug-build check behind every incremental publish: `self` equals
@@ -242,7 +222,6 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         for (name, diff) in [
             ("direct", first_diff(&self.direct, &src.direct)),
             ("nodes", first_diff(&self.nodes, &src.nodes)),
-            ("leaves", first_diff(&self.leaves, &src.leaves)),
         ] {
             assert!(
                 diff.is_none(),
@@ -251,18 +230,13 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             );
         }
         assert!(
-            self.node_buddy == src.node_buddy && self.leaf_buddy == src.leaf_buddy,
-            "published allocators differ from the writer's"
+            self.node_buddy == src.node_buddy,
+            "published node allocator differs from the writer's"
         );
         assert_eq!(
             (self.root, self.inode_count, self.leaf_count, self.s),
             (src.root, src.inode_count, src.leaf_count, src.s)
         );
         assert_eq!(self.backend, src.backend);
-        assert_eq!(
-            self.shared_leaves.is_some(),
-            src.shared_leaves.is_some(),
-            "published leaf mode differs from the writer's"
-        );
     }
 }

@@ -45,6 +45,8 @@
 //!   IPv4 and `u128` for IPv6 (§4.10).
 //! * [`Builder`] — compilation from a [`RadixTree`] RIB, with the paper's
 //!   options: direct pointing size `s` (§3.4) and route aggregation (§3).
+//! * [`LeafStore`] — the buddy-managed leaf array every trie interns its
+//!   leaf blocks in: one per table, or one per VRF group.
 //! * [`Fib`] — a RIB + Poptrie pair supporting the incremental update of
 //!   §3.5: a route change surgically rebuilds only the affected subtree
 //!   through the buddy allocator.
@@ -63,10 +65,10 @@ pub mod builder;
 pub mod config;
 mod dirty;
 pub mod ids;
+pub mod leaf_store;
 pub mod node;
 pub mod prelude;
 pub mod serial;
-pub mod shared_leaves;
 pub mod sync;
 #[cfg(feature = "observe")]
 pub mod telemetry;
@@ -77,10 +79,10 @@ pub use audit::AuditReport;
 pub use builder::Builder;
 pub use config::{ConfigError, PoptrieConfig, PoptrieConfigBuilder};
 pub use ids::{SourceId, VrfId};
+pub use leaf_store::{InternStats, LeafStore};
 pub use node::{Node16, Node24, NodeRepr};
 pub use poptrie_bitops::BatchBackend;
 pub use serial::SerializeError;
-pub use shared_leaves::{EpochGuard, LeafInterner, LeafStoreHandle, SharedLeaves};
 pub use trie::{Poptrie, PoptrieBasic, PoptrieStats, BATCH_LANES};
 pub use update::{Applied, Fib, UpdateError, UpdateStats, UpdateStrategy};
 

@@ -1,7 +1,8 @@
 //! Binary serialization of a compiled Poptrie.
 //!
-//! A compiled FIB is three flat arrays plus a few scalars, so it
-//! serializes naturally: routers can compile once (or receive a compiled
+//! A compiled FIB is three flat arrays plus a few scalars — the direct
+//! table, the nodes and the slots of its leaf store — so it serializes
+//! naturally: routers can compile once (or receive a compiled
 //! FIB from a route server) and map it in at startup instead of paying
 //! the §3.5 compilation cost. The format is explicit little-endian with a
 //! magic, a version, the key width and node layout (so a `Poptrie<u32>`
@@ -30,6 +31,7 @@ use poptrie_bitops::Bits;
 use poptrie_buddy::Buddy;
 use poptrie_rib::NextHop;
 
+use crate::leaf_store::LeafStore;
 use crate::node::NodeRepr;
 use crate::trie::PoptrieImpl;
 
@@ -134,19 +136,10 @@ impl<'a> Reader<'a> {
 }
 
 impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
-    /// Serialize the compiled FIB to a self-describing binary blob.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a shared-leaves (VRF-group) table: its leaf extents live
-    /// in an arena shared with other tenants and are meaningless outside
-    /// the group. Serialize a private recompile of the same RIB instead.
+    /// Serialize the compiled FIB to a self-describing binary blob. The
+    /// leaves are the slots of the slab the trie reads, so the blob of a
+    /// VRF tenant carries its whole group's slab.
     pub fn to_bytes(&self) -> Vec<u8> {
-        assert!(
-            self.shared_leaves.is_none(),
-            "cannot serialize a shared-leaves (VRF) table: leaf offsets \
-             reference a shared arena; recompile privately to serialize"
-        );
         let mut payload = Writer { out: Vec::new() };
         payload.u8(self.s);
         payload.u32(self.root);
@@ -166,9 +159,9 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             payload.u32(n.base0());
             payload.u32(n.base1());
         }
-        payload.u64(self.leaves.len() as u64);
-        for &l in &self.leaves {
-            payload.u16(l);
+        payload.u64(self.leaf_slots() as u64);
+        for i in 0..self.leaf_slots() {
+            payload.u16(self.leaf_at(i));
         }
 
         let mut out = Writer { out: Vec::new() };
@@ -259,22 +252,19 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             leaves.push(u16::from_le_bytes([b[0], b[1]]));
         }
 
-        // Reconstruct inert allocators covering the arrays: a loaded FIB
-        // is read-only (see the module docs), so only capacity matters.
+        // Reconstruct an inert node allocator covering the array and a
+        // leaf store of exactly the loaded slots: a loaded FIB is
+        // read-only (see the module docs), so only capacity matters.
         let node_buddy = sized_buddy(nodes.len());
-        let leaf_buddy = sized_buddy(leaves.len());
         let trie = PoptrieImpl {
             direct,
             nodes,
-            leaves,
+            store: LeafStore::loaded(&leaves),
             node_buddy,
-            leaf_buddy,
             root,
             inode_count,
             leaf_count,
             s,
-            // Serialized tables are always private-leaf (asserted above).
-            shared_leaves: None,
             // Serialized images carry no backend: the tier is a property
             // of the loading host's CPU, re-detected at every load.
             backend: poptrie_bitops::BatchBackend::detect(),

@@ -21,35 +21,36 @@
 //! consistent FIB and never wait for an update), and a publish costs in
 //! proportion to what the burst wrote, not to the size of the table:
 //!
-//! * The writer's trie marks each 64-byte line of its `direct`, `nodes`
-//!   and `leaves` arrays that an update writes.
+//! * The writer's trie marks each 64-byte line of its `direct` and
+//!   `nodes` arrays that an update writes. Leaves live in the trie's
+//!   [leaf store](crate::leaf_store), which every snapshot shares.
 //! * A publish takes the *spare*, the snapshot the previous publish
 //!   retired, and copies into it the lines written since its version
 //!   (the previous burst's and this one's), the scalar fields and the
-//!   two buddy allocators. Then it swaps the spare in. On a
-//!   REAL-Tier1-A-shaped table a 255-update BGP burst writes a few
-//!   hundred lines, so a publish copies tens of kilobytes in about
-//!   16 µs, where a whole-trie clone took about 1 ms.
-//! * **Retirement rule.** After the swap the writer keeps the retired
-//!   snapshot as the next spare. When it holds the only reference
-//!   ([`Arc::get_mut`]), the snapshot's interner epoch pin is released
-//!   at once, so shared-leaf extents are reclaimed exactly when dropping
-//!   the snapshot would have allowed. When a worker still holds it (one
-//!   that took its snapshot just before the swap), the writer keeps its
-//!   reference and asks again at the start of the next publish, by which
-//!   time the worker has usually finished its batch. A retired snapshot
-//!   that still pins an epoch is the exception: the writer drops it, so
-//!   the last reader's release stays what frees its extents.
+//!   node allocator. Then it swaps the spare in. On a REAL-Tier1-A-shaped
+//!   table a 255-update BGP burst writes a few hundred lines, so a
+//!   publish copies tens of kilobytes in about 16 µs, where a whole-trie
+//!   clone took about 1 ms.
+//! * **Retirement rule.** Every snapshot's trie pins the leaf-store epoch
+//!   it can see. After the swap the writer always keeps the retired
+//!   snapshot as the next spare. The next publish first asks whether it
+//!   holds the only reference to the spare ([`Arc::get_mut`]). If it
+//!   does, it releases the spare's pin, and only then opens the new
+//!   epoch, which collects every extent no live pin can see. If a worker
+//!   still holds the spare (one that took its snapshot just before the
+//!   swap), the writer lets go of it, and the worker's release ends the
+//!   pin.
 //! * A publish whose spare is missing or still held clones the whole
 //!   trie, the cold path counted in [`PublishStats::full_copies`].
 //! * A snapshot a reader can reach is never written: the spare is only
 //!   ever written through `Arc::get_mut`.
 //!
-//! The steady state holds three copies of the arrays: the writer's, the
-//! current snapshot and the spare ([`SharedFib::array_bytes`]).
-//! Whole-structure events (compilation, [`Fib::rebuild`], growth of an
-//! array) make the next two publishes copy everything. Debug builds check
-//! every incremental publish byte for byte against the writer's trie.
+//! The steady state holds three copies of the node and direct arrays:
+//! the writer's, the current snapshot and the spare, plus one leaf slab
+//! ([`SharedFib::array_bytes`]). Whole-structure events (compilation,
+//! [`Fib::rebuild`], growth of the node array) make the next two
+//! publishes copy everything. Debug builds check every incremental
+//! publish byte for byte against the writer's trie.
 //!
 //! Earlier revisions used epoch-based reclamation (`crossbeam-epoch`) for
 //! strictly wait-free reads; the cell now swaps an `Arc` under a
@@ -65,6 +66,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use crate::config::PoptrieConfig;
 use crate::dirty::DirtyLines;
+use crate::leaf_store::LeafStore;
 use crate::trie::Poptrie;
 use crate::update::{Applied, Fib, UpdateError, UpdateStats};
 
@@ -174,11 +176,6 @@ impl<T> RcuCell<T> {
 pub struct FibSnapshot<K: Bits> {
     trie: Poptrie<K>,
     version: u64,
-    /// Shared-leaves mode: pins the publish epoch so the interner cannot
-    /// recycle any extent this snapshot's leaf indices may reference.
-    /// Dropped (a plain `Arc` release) when the snapshot dies or is
-    /// retired into the writer's spare.
-    epoch: Option<Arc<crate::shared_leaves::EpochGuard>>,
 }
 
 impl<K: Bits> FibSnapshot<K> {
@@ -224,8 +221,7 @@ pub struct PublishStats {
     /// Publishes that copied only the lines written since the recycled
     /// snapshot's version.
     pub incremental: u64,
-    /// Bytes of the `direct`, `nodes` and `leaves` arrays copied by all
-    /// publishes.
+    /// Bytes of the `direct` and `nodes` arrays copied by all publishes.
     pub bytes_copied: u64,
 }
 
@@ -290,11 +286,9 @@ impl<K: Bits> core::fmt::Debug for SharedFib<K> {
 impl<K: Bits> SharedFib<K> {
     /// Serve `fib` with its current state published as `version`.
     fn from_fib(mut fib: Fib<K>, version: u64) -> Self {
-        let epoch = fib.poptrie().shared_leaves().map(|h| h.begin_epoch());
         let current = RcuCell::new(FibSnapshot {
             trie: fib.poptrie().clone(),
             version,
-            epoch,
         });
         let mut stale = DirtyLines::default();
         fib.take_dirty(&mut stale);
@@ -332,32 +326,19 @@ impl<K: Bits> SharedFib<K> {
         Self::from_fib(Fib::compile(rib, config), 0)
     }
 
-    /// An empty shared FIB whose leaves resolve out of a shared VRF-group
-    /// arena. See [`Fib::with_config_shared`].
+    /// Build from an existing RIB with its leaf blocks interned in
+    /// `store`, shared with every other table built into it. See
+    /// [`Fib::compile_in`].
     ///
     /// # Panics
     ///
     /// Panics when `config.direct_bits >= K::BITS`.
-    pub fn with_config_shared(
-        config: PoptrieConfig,
-        leaves: crate::shared_leaves::LeafStoreHandle,
-    ) -> Self {
-        Self::from_fib(Fib::with_config_shared(config, leaves), 0)
-    }
-
-    /// Build from an existing RIB with leaf blocks interned into a shared
-    /// VRF-group arena. See [`Fib::compile_shared`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.direct_bits >= K::BITS`, or when the shared
-    /// arena cannot fit the table's leaf blocks.
-    pub fn compile_shared(
+    pub fn compile_in(
         rib: RadixTree<K, NextHop>,
         config: PoptrieConfig,
-        leaves: crate::shared_leaves::LeafStoreHandle,
+        store: &LeafStore,
     ) -> Self {
-        Self::from_fib(Fib::compile_shared(rib, config, leaves), 0)
+        Self::from_fib(Fib::compile_in(rib, config, store), 0)
     }
 
     /// Longest-prefix-match lookup on the current snapshot; never blocks
@@ -396,13 +377,15 @@ impl<K: Bits> SharedFib<K> {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Bytes of `direct`, `nodes` and private `leaves` arrays this FIB
-    /// keeps: the writer's trie, the current snapshot and the writer's
-    /// spare. Superseded snapshots held only by readers are not counted.
-    /// Takes the writer lock.
+    /// Bytes this FIB keeps: the `direct` and `nodes` arrays of the
+    /// writer's trie, the current snapshot and the writer's spare, plus
+    /// the leaf store's slab once. Superseded snapshots held only by
+    /// readers are not counted. Takes the writer lock.
     pub fn array_bytes(&self) -> usize {
         let w = self.writer();
-        w.fib.poptrie().array_bytes()
+        let trie = w.fib.poptrie();
+        trie.array_bytes()
+            + trie.leaf_store().bytes()
             + self.current.snapshot().trie.array_bytes()
             + w.spare.as_ref().map_or(0, |s| s.trie.array_bytes())
     }
@@ -448,49 +431,34 @@ impl<K: Bits> SharedFib<K> {
     /// Publish the writer's current state as the next snapshot version,
     /// by bringing the spare up to date or, when there is none or a
     /// reader still holds it, by cloning the trie (see the
-    /// [module docs](self)). In shared-leaves mode each
-    /// publish opens a fresh interner epoch and the snapshot pins it;
-    /// retiring the previous snapshot (and every older one) is what lets
-    /// the interner recycle released extents.
+    /// [module docs](self)). Either way the new snapshot pins a fresh
+    /// leaf-store epoch, opened after the spare's pin is released.
     fn publish(&self, w: &mut Writer<K>) -> u64 {
         let version = self.version.load(Ordering::Relaxed) + 1;
         let src = w.fib.poptrie();
-        let epoch = src.shared_leaves().map(|h| h.begin_epoch());
         let mut spare = w.spare.take();
         let (next, copied) = match spare.as_mut().and_then(Arc::get_mut) {
             Some(snap) => {
                 let copied = snap.trie.sync_from(src, &w.stale);
                 snap.version = version;
-                snap.epoch = epoch;
                 (spare.expect("just recycled"), copied)
             }
             None => {
-                // Dropping a spare a reader still holds leaves it to the
-                // last reader, as for any retired snapshot.
+                // Dropping a spare a reader still holds leaves it, and its
+                // pin, to the last reader, as for any retired snapshot.
                 drop(spare);
                 let trie = src.clone();
                 let copied = crate::dirty::Copied {
                     bytes: trie.array_bytes(),
                     full: true,
                 };
-                let snap = FibSnapshot {
-                    trie,
-                    version,
-                    epoch,
-                };
-                (Arc::new(snap), copied)
+                (Arc::new(FibSnapshot { trie, version }), copied)
             }
         };
-        let mut retired = self.current.replace(next);
+        w.spare = Some(self.current.replace(next));
         self.version.store(version, Ordering::Release);
         // The retired snapshot lacks exactly what this burst wrote.
         w.fib.take_dirty(&mut w.stale);
-        if let Some(snap) = Arc::get_mut(&mut retired) {
-            snap.epoch = None;
-        }
-        if retired.epoch.is_none() {
-            w.spare = Some(retired);
-        }
         let counter = if copied.full {
             &self.full_copies
         } else {

@@ -167,8 +167,9 @@ pub struct StructureGauges {
     pub memory_bytes: usize,
     /// Fragmentation of the internal-node index space.
     pub node_buddy: Fragmentation,
-    /// Fragmentation of the leaf index space.
-    pub leaf_buddy: Fragmentation,
+    /// Fragmentation of the leaf store's index space (the whole group's,
+    /// for a VRF tenant).
+    pub leaf_store: Fragmentation,
 }
 
 /// Sample the structural gauges of `fib`. Cheap (no traversal): counts
@@ -181,7 +182,7 @@ pub fn structure_gauges<K: Bits, N: NodeRepr>(fib: &PoptrieImpl<K, N>) -> Struct
         direct_slots: st.direct_slots,
         memory_bytes: st.memory_bytes,
         node_buddy: fib.node_buddy.fragmentation(),
-        leaf_buddy: fib.leaf_buddy.fragmentation(),
+        leaf_store: fib.store.fragmentation(),
     }
 }
 
@@ -514,7 +515,7 @@ impl TelemetrySnapshot {
                 &[],
                 st.memory_bytes as f64,
             );
-            for (label, f) in [("node", &st.node_buddy), ("leaf", &st.leaf_buddy)] {
+            for (label, f) in [("node", &st.node_buddy), ("leaf", &st.leaf_store)] {
                 r.gauge(
                     "poptrie_buddy_capacity_slots",
                     "Buddy-allocator managed slots, by array.",

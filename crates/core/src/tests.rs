@@ -1,5 +1,5 @@
 use crate::sync::{RouteUpdate, SharedFib};
-use crate::{Applied, Builder, Fib, Poptrie, PoptrieBasic, PoptrieConfig};
+use crate::{Applied, Builder, Fib, LeafStore, Poptrie, PoptrieBasic, PoptrieConfig};
 #[cfg(feature = "proptest")] // the oracle is only used by the gated proptests
 use poptrie_rib::LinearLpm;
 use poptrie_rib::{Lpm, Prefix, RadixTree};
@@ -1120,11 +1120,12 @@ mod audit {
     fn audit_detects_freed_block_still_referenced() {
         let mut rib: RadixTree<u32, u16> = RadixTree::new();
         rib.insert(p4("10.0.0.0/24"), 1);
-        let mut t: Poptrie<u32> = Builder::new().direct_bits(16).aggregate(false).build(&rib);
-        // Free the leaf block of the first reachable node behind the
-        // structure's back: the trie still references it, so the auditor
-        // must flag the dangling block (a lookup would still "work",
-        // returning whatever the allocator later puts there).
+        let t: Poptrie<u32> = Builder::new().direct_bits(16).aggregate(false).build(&rib);
+        // Release the leaf extent of the first reachable node in the
+        // table's store behind the structure's back: the trie still
+        // references it, so the auditor must flag the dangling block (a
+        // lookup would still "work", returning whatever the store later
+        // puts there).
         let e = *t
             .direct
             .iter()
@@ -1133,10 +1134,22 @@ mod audit {
         let node = t.nodes[e as usize];
         let nleaves = node.leafvec.count_ones();
         assert!(nleaves > 0);
-        t.leaf_buddy.free(node.base0, nleaves);
-        t.leaf_count -= nleaves as usize; // keep counts consistent: only the block is stale
+        t.store.release(node.base0, nleaves); // the trie's counts stay: only the block is stale
         let err = t.audit().unwrap_err();
         assert!(err.contains("not a live allocation"), "{err}");
+    }
+
+    #[test]
+    fn audit_detects_leaked_leaf_extent() {
+        let mut rib: RadixTree<u32, u16> = RadixTree::new();
+        rib.insert(p4("10.0.0.0/24"), 1);
+        let mut t: Poptrie<u32> = Builder::new().direct_bits(16).aggregate(false).build(&rib);
+        t.audit().unwrap();
+        // A block no node references, interned in the table's own store:
+        // the updater lost track of an extent.
+        t.store.intern(&[5, 6, 7]);
+        let err = t.audit().unwrap_err();
+        assert!(err.contains("leaf leak"), "{err}");
     }
 
     #[test]
@@ -1311,13 +1324,12 @@ mod api {
             .strategy(crate::UpdateStrategy::SubtreeRebuild)
             .aggregate(false)
             .node_capacity(1 << 10)
-            .leaf_capacity(1 << 12)
             .build()
             .unwrap();
         assert_eq!(cfg.direct_bits, 16);
         assert_eq!(cfg.strategy, crate::UpdateStrategy::SubtreeRebuild);
         assert!(!cfg.aggregate);
-        assert_eq!((cfg.node_capacity, cfg.leaf_capacity), (1 << 10, 1 << 12));
+        assert_eq!(cfg.node_capacity, 1 << 10);
 
         assert_eq!(
             PoptrieConfig::new().direct_bits(25).build(),
@@ -1339,7 +1351,6 @@ mod api {
             .strategy(crate::UpdateStrategy::SubtreeRebuild)
             .aggregate(false)
             .node_capacity(64)
-            .leaf_capacity(64)
             .build()
             .unwrap();
         let mut fib: Fib<u32> = Fib::with_config(cfg);
@@ -1349,81 +1360,19 @@ mod api {
         fib.poptrie().check_invariants().unwrap();
     }
 
-    /// A shared-leaves compile must agree with a private compile of the
-    /// same RIB on every key, and its audit must pass with duplicate leaf
-    /// extents tolerated. Uses a minimal interner (no deduplication GC
-    /// sophistication — `poptrie-vrf`'s `NextHopIntern` owns that) to keep
-    /// the core-level contract testable without the upper crate.
+    /// Two tables compiled into one leaf store must agree with a table
+    /// that has a store of its own on every key, and their per-table leaf
+    /// references must reconcile with the store, before and after one of
+    /// them churns.
     #[test]
-    fn shared_leaves_compile_matches_private() {
-        use crate::shared_leaves::{EpochGuard, LeafInterner, LeafStoreHandle, SharedLeaves};
-        use std::sync::{Arc, Mutex};
-
-        /// Content-addressed interner over a fixed arena, refcounted,
-        /// recycling extents immediately at refs=0 (safe single-threaded).
-        #[derive(Debug)]
-        struct TestIntern {
-            arena: poptrie_buddy::ArenaHandle,
-            store: Arc<SharedLeaves>,
-            by_content: std::collections::HashMap<Vec<u16>, u32>,
-            meta: std::collections::HashMap<u32, (u32, u64, Vec<u16>)>,
-            epoch: u64,
-        }
-
-        impl LeafInterner for TestIntern {
-            fn intern(&mut self, vals: &[u16]) -> Option<u32> {
-                if let Some(&off) = self.by_content.get(vals) {
-                    self.meta.get_mut(&off).unwrap().1 += 1;
-                    return Some(off);
-                }
-                let off = self.arena.try_alloc(vals.len() as u32)?;
-                self.store.write_block(off, vals);
-                self.by_content.insert(vals.to_vec(), off);
-                self.meta.insert(off, (vals.len() as u32, 1, vals.to_vec()));
-                Some(off)
-            }
-            fn release(&mut self, off: u32, len: u32) {
-                let (l, refs, key) = self.meta.get_mut(&off).expect("release of unknown extent");
-                assert_eq!(*l, len);
-                *refs -= 1;
-                if *refs == 0 {
-                    let key = key.clone();
-                    self.by_content.remove(&key);
-                    self.meta.remove(&off);
-                    self.arena.free(off, len);
-                }
-            }
-            fn is_live_block(&self, off: u32, len: u32) -> bool {
-                self.meta.get(&off).is_some_and(|m| m.0 == len)
-            }
-            fn begin_epoch(&mut self) -> Arc<EpochGuard> {
-                self.epoch += 1;
-                EpochGuard::new(self.epoch)
-            }
-            fn total_refs(&self) -> u64 {
-                self.meta.values().map(|m| m.1).sum()
-            }
-        }
-
-        let store = SharedLeaves::new(1 << 16);
-        let owner = poptrie_buddy::ArenaOwner::fixed(1 << 16);
-        let intern: Arc<Mutex<dyn LeafInterner>> = Arc::new(Mutex::new(TestIntern {
-            arena: owner.handle(),
-            store: Arc::clone(&store),
-            by_content: Default::default(),
-            meta: Default::default(),
-            epoch: 0,
-        }));
-        let handle = LeafStoreHandle::new(store, intern);
-
+    fn group_compile_matches_own_store() {
+        let store = LeafStore::new(1 << 16);
         let mut rng = StdRng::seed_from_u64(40);
         let rib = random_v4_table(&mut rng, 300);
         let cfg = PoptrieConfig::new().direct_bits(16).build().unwrap();
 
-        // Two tenants off the same arena: the original RIB and a churned
-        // variant; plus a private compile as the semantic oracle.
-        let mut shared_a = Fib::compile_shared(rib.clone(), cfg, handle.clone());
-        let shared_b = Fib::compile_shared(rib.clone(), cfg, handle.clone());
+        let mut shared_a = Fib::compile_in(rib.clone(), cfg, &store);
+        let shared_b = Fib::compile_in(rib.clone(), cfg, &store);
         let oracle = Fib::compile(rib, cfg);
 
         for _ in 0..5_000 {
@@ -1431,25 +1380,21 @@ mod api {
             assert_eq!(shared_a.lookup(key), oracle.lookup(key));
             assert_eq!(shared_b.lookup(key), oracle.lookup(key));
         }
-        let ra = shared_a.poptrie().audit().unwrap();
-        let rb = shared_b.poptrie().audit().unwrap();
+        let refs = |a: &Fib<u32>, b: &Fib<u32>| {
+            let (ra, rb) = (a.poptrie().audit().unwrap(), b.poptrie().audit().unwrap());
+            (ra.leaf_block_refs + rb.leaf_block_refs) as u64
+        };
         assert_eq!(
-            (ra.leaf_block_refs + rb.leaf_block_refs) as u64,
-            handle.total_refs(),
-            "per-table leaf references must reconcile with the interner"
+            refs(&shared_a, &shared_b),
+            store.stats().total_refs,
+            "per-table leaf references must reconcile with the store"
         );
 
-        // Churn one tenant; the other's lookups and audit stay intact.
+        // Churn one table; the other's lookups and audit stay intact.
         shared_a.insert(p4("10.0.0.0/8"), 9).unwrap();
         shared_a.remove(p4("10.0.0.0/8")).unwrap();
-        shared_a.poptrie().audit().unwrap();
-        shared_b.poptrie().audit().unwrap();
-        let ra = shared_a.poptrie().audit().unwrap();
-        let rb = shared_b.poptrie().audit().unwrap();
-        assert_eq!(
-            (ra.leaf_block_refs + rb.leaf_block_refs) as u64,
-            handle.total_refs()
-        );
+        assert_eq!(refs(&shared_a, &shared_b), store.stats().total_refs);
+        store.check_invariants().unwrap();
     }
 
     /// The wire-format entry points reject what `Prefix::new` would

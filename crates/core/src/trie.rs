@@ -1,10 +1,18 @@
 //! The Poptrie lookup structure and its traversal (Algorithms 1–3).
+//!
+//! A trie owns its direct table and node array. Its leaf blocks live in
+//! a [`LeafStore`]: its own, or one its VRF group shares. Every leaf read
+//! goes through the slab the trie's store handle holds. A trie a reader
+//! can hold pins the store epoch it can see, so the blocks it resolves
+//! into stay allocated while it lives: a [`Clone`] of a writer's trie
+//! pins a fresh epoch, and a clone of a pinned trie shares its pin.
 
 use poptrie_bitops::{rank1, BatchBackend, Bits};
 use poptrie_buddy::Buddy;
 use poptrie_rib::{Lpm, NextHop, RadixTree, NO_ROUTE};
 
 use crate::builder::Builder;
+use crate::leaf_store::LeafStore;
 use crate::node::{Node16, Node24, NodeRepr};
 
 /// Build a key with the 6-bit chunk value `v` placed at MSB-first bit
@@ -31,28 +39,21 @@ pub use poptrie_bitops::BATCH_LANES;
 ///
 /// The structure is immutable through `&self`; recompile with
 /// [`Builder::build`] or use [`Fib`](crate::Fib) for incremental updates.
+/// A clone is a read-only copy that stays exact while the original
+/// changes (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct PoptrieImpl<K: Bits, N: NodeRepr> {
     /// Direct-pointing table of `2^s` entries (§3.4); empty when `s == 0`.
     pub(crate) direct: Vec<u32>,
     /// Flat internal-node array; children of one node are contiguous.
     pub(crate) nodes: Vec<N>,
-    /// Flat leaf array. Empty in shared-leaf mode: leaves then live in
-    /// `shared_leaves` and every leaf index resolves against the shared
-    /// store instead.
-    pub(crate) leaves: Vec<NextHop>,
-    /// Cross-table shared leaf storage (multi-tenant VRF mode). `None`
-    /// for a private table; `Some` when this trie's leaf blocks are
-    /// interned extents of a shared fixed arena
-    /// ([`crate::shared_leaves`]). Node arrays and the direct table stay
-    /// private either way.
-    pub(crate) shared_leaves: Option<crate::shared_leaves::LeafStoreHandle>,
+    /// The leaf store this trie's leaf blocks are interned in
+    /// ([`crate::leaf_store`]): its own, or its VRF group's.
+    pub(crate) store: LeafStore,
     /// Buddy allocator for `nodes` index space (§3: "the contiguous arrays
     /// of internal and leaf nodes are managed by the buddy memory
-    /// allocator").
+    /// allocator"; the leaf store runs the leaves' buddy).
     pub(crate) node_buddy: Buddy,
-    /// Buddy allocator for `leaves` index space.
-    pub(crate) leaf_buddy: Buddy,
     /// Root node index, used when `s == 0`.
     pub(crate) root: u32,
     /// Number of live internal nodes ("# of inodes" in Table 2).
@@ -66,9 +67,9 @@ pub struct PoptrieImpl<K: Bits, N: NodeRepr> {
     /// straight to this kernel. Always an available tier, so the
     /// `unsafe` SIMD kernel calls are sound.
     pub(crate) backend: BatchBackend,
-    /// Lines of `direct`, `nodes` and `leaves` written since the last
-    /// publish ([`crate::sync::SharedFib`] copies only those). Read only
-    /// on a writer's trie.
+    /// Lines of `direct` and `nodes` written since the last publish
+    /// ([`crate::sync::SharedFib`] copies only those). Read only on a
+    /// writer's trie.
     pub(crate) dirty: crate::dirty::DirtyLines,
     pub(crate) _key: core::marker::PhantomData<K>,
 }
@@ -129,40 +130,26 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         self.backend
     }
 
-    /// Whether this trie resolves leaves out of a cross-table shared
-    /// store ([`crate::shared_leaves`]) rather than a private leaf array.
-    pub fn is_shared_leaves(&self) -> bool {
-        self.shared_leaves.is_some()
+    /// The leaf store this trie's leaves live in.
+    pub fn leaf_store(&self) -> &LeafStore {
+        &self.store
     }
 
-    /// The shared leaf store handle, when in shared-leaf mode.
-    pub fn shared_leaves(&self) -> Option<&crate::shared_leaves::LeafStoreHandle> {
-        self.shared_leaves.as_ref()
-    }
-
-    /// Number of addressable leaf slots (private array length, or the
-    /// shared store's capacity).
+    /// Number of addressable leaf slots.
     #[inline]
     pub(crate) fn leaf_slots(&self) -> usize {
-        match &self.shared_leaves {
-            Some(h) => h.store().capacity(),
-            None => self.leaves.len(),
-        }
+        self.store.slots()
     }
 
     /// Read leaf slot `li` (bounds-checked; the cold paths — ranges,
     /// invariant checks — use this).
     #[inline]
     pub(crate) fn leaf_at(&self, li: usize) -> NextHop {
-        match &self.shared_leaves {
-            Some(h) => h.store().get(li),
-            None => self.leaves[li],
-        }
+        self.store.get(li)
     }
 
     /// Read leaf slot `li` without a bounds check — the hot-path leaf
-    /// resolution. The branch on storage mode predicts perfectly (it
-    /// never changes for a given trie).
+    /// resolution.
     ///
     /// # Safety
     ///
@@ -170,22 +157,13 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
     /// invariant behind every `base0 + leaf_rank(v) - 1` computation).
     #[inline(always)]
     pub(crate) unsafe fn leaf_at_unchecked(&self, li: usize) -> NextHop {
-        match &self.shared_leaves {
-            Some(h) => h.store().get_unchecked(li),
-            None => *self.leaves.get_unchecked(li),
-        }
+        self.store.get_unchecked(li)
     }
 
-    /// Base pointer of the leaf storage (private array or shared slab),
-    /// for the SIMD kernels' leaf loads. See
-    /// [`SharedLeaves::as_ptr`](crate::shared_leaves::SharedLeaves::as_ptr)
-    /// for why plain loads through the shared pointer are race-free.
+    /// Base pointer of the leaf slab, for the SIMD kernels' leaf loads.
     #[inline(always)]
     pub(crate) fn leaf_base_ptr(&self) -> *const NextHop {
-        match &self.shared_leaves {
-            Some(h) => h.store().as_ptr(),
-            None => self.leaves.as_ptr(),
-        }
+        self.store.as_ptr()
     }
 
     /// Prefetch the line holding leaf slot `li` (hint only, never faults;

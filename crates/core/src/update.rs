@@ -38,8 +38,8 @@ use crate::builder::{
     alloc_nodes, compute_chunk, fill_node, install_leaves, place_node, release_leaves, Builder,
 };
 use crate::config::PoptrieConfig;
+use crate::leaf_store::LeafStore;
 use crate::node::{Node24, NodeRepr};
-use crate::shared_leaves::LeafStoreHandle;
 use crate::trie::{Poptrie, DIRECT_LEAF_BIT};
 
 /// A rejected FIB mutation. Every [`Fib`] mutation returns
@@ -226,7 +226,7 @@ impl UpdateStats {
 /// assert_eq!(fib.lookup(0x0A01_0001), Some(1));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Fib<K: Bits> {
     rib: RadixTree<K, NextHop>,
     trie: Poptrie<K>,
@@ -253,49 +253,24 @@ impl<K: Bits> Fib<K> {
     ///
     /// Panics when `config.direct_bits >= K::BITS`.
     pub fn compile(rib: RadixTree<K, NextHop>, config: PoptrieConfig) -> Self {
-        let trie = Builder::from_config(&config).build(&rib);
-        Fib {
-            rib,
-            trie,
-            stats: UpdateStats::default(),
-            strategy: config.strategy,
-        }
+        Self::compile_in(rib, config, &LeafStore::new(0))
     }
 
-    /// An empty FIB shaped by `config` whose leaves resolve out of a
-    /// shared VRF-group arena ([`LeafStoreHandle`]). See
-    /// [`Fib::compile_shared`].
+    /// Compile an initial FIB from an existing RIB with its leaf blocks
+    /// interned in `store`: byte-identical blocks across every table
+    /// built into the same store occupy one extent. Node arrays and the
+    /// direct table stay private to this table, so update isolation and
+    /// snapshot cost are unchanged.
     ///
     /// # Panics
     ///
     /// Panics when `config.direct_bits >= K::BITS`.
-    pub fn with_config_shared(config: PoptrieConfig, leaves: LeafStoreHandle) -> Self {
-        Self::compile_shared(RadixTree::new(), config, leaves)
-    }
-
-    /// Compile an initial FIB from an existing RIB with its leaf blocks
-    /// interned into a shared VRF-group arena: byte-identical blocks
-    /// across every table holding a handle to the same store occupy one
-    /// extent. Node arrays and the direct table stay private to this
-    /// table, so update isolation and snapshot cost are unchanged.
-    ///
-    /// A shared-mode FIB cannot be serialized
-    /// ([`to_bytes`](crate::trie::PoptrieImpl::to_bytes) panics) and its
-    /// [`Clone`] is a read-only alias: interned extents are refcounted by
-    /// the *writer* side only, so exactly one clone may keep mutating.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.direct_bits >= K::BITS`, or when the shared
-    /// arena cannot fit the table's leaf blocks (a provisioning error).
-    pub fn compile_shared(
+    pub fn compile_in(
         rib: RadixTree<K, NextHop>,
         config: PoptrieConfig,
-        leaves: LeafStoreHandle,
+        store: &LeafStore,
     ) -> Self {
-        let trie = Builder::from_config(&config)
-            .shared_leaves(leaves)
-            .build(&rib);
+        let trie = Builder::from_config(&config).build_in(&rib, store);
         Fib {
             rib,
             trie,
@@ -463,19 +438,18 @@ impl<K: Bits> Fib<K> {
     }
 
     /// Rebuild the whole FIB from the RIB (the paper's "compilation from
-    /// scratch", Table 2's compilation-time column). A shared-mode table
-    /// first releases every interned extent it references (the old trie's
-    /// private storage dies with its `Vec`s, but shared-arena references
-    /// are refcounted) and rebuilds against the same arena.
+    /// scratch", Table 2's compilation-time column). The table first
+    /// releases every leaf extent it references, then rebuilds into the
+    /// same leaf store.
     pub fn rebuild(&mut self) {
         #[cfg(feature = "observe")]
         let t0 = poptrie_cycles::rdtsc_serialized();
-        release_trie_shared_leaves(&mut self.trie);
-        let mut b = Builder::new().direct_bits(self.trie.s).aggregate(false);
-        if let Some(h) = self.trie.shared_leaves.clone() {
-            b = b.shared_leaves(h);
-        }
-        self.trie = b.build(&self.rib);
+        release_trie_leaves(&mut self.trie);
+        let store = self.trie.store.writer();
+        self.trie = Builder::new()
+            .direct_bits(self.trie.s)
+            .aggregate(false)
+            .build_with(&self.rib, store);
         #[cfg(feature = "observe")]
         crate::telemetry::record_rebuild(poptrie_cycles::rdtsc_serialized().wrapping_sub(t0));
     }
@@ -610,17 +584,10 @@ fn refresh_node<K: Bits>(
     }
     // Same child structure: refresh leaves if they changed. With an
     // unchanged leafvec the old and new blocks have the same length, so
-    // the content probe (against the shared store or the private array)
-    // compares like for like.
+    // the content probe compares like for like.
     let old_leaf_count = old.leafvec.count_ones() as usize;
-    let leaves_unchanged = spec.leafvec == old.leafvec
-        && match &trie.shared_leaves {
-            Some(h) => h.store().block_eq(old.base0, &spec.leaf_vals),
-            None => {
-                spec.leaf_vals
-                    == trie.leaves[old.base0 as usize..old.base0 as usize + old_leaf_count]
-            }
-        };
+    let leaves_unchanged =
+        spec.leafvec == old.leafvec && trie.store.block_eq(old.base0, &spec.leaf_vals);
     if !leaves_unchanged {
         if old_leaf_count > 0 {
             release_leaves(trie, old.base0, old_leaf_count as u32);
@@ -695,16 +662,10 @@ pub(crate) fn free_subtree<K: Bits, N: NodeRepr>(
     trie.inode_count -= 1;
 }
 
-/// Drop every shared-arena leaf reference a trie holds, leaving it with
-/// `leaf_count == 0`. No-op for private tables. Called before a trie is
-/// discarded wholesale ([`Fib::rebuild`]): private storage dies with its
-/// `Vec`s, but interned extents are refcounted and must be released.
-pub(crate) fn release_trie_shared_leaves<K: Bits, N: NodeRepr>(
-    trie: &mut crate::trie::PoptrieImpl<K, N>,
-) {
-    if trie.shared_leaves.is_none() {
-        return;
-    }
+/// Drop every leaf reference a trie holds, leaving it with
+/// `leaf_count == 0`. Called before a trie is discarded wholesale
+/// ([`Fib::rebuild`]): its extents are refcounted in the leaf store.
+fn release_trie_leaves<K: Bits, N: NodeRepr>(trie: &mut crate::trie::PoptrieImpl<K, N>) {
     // Direct slots own disjoint subtrees (the builder and the patcher
     // never share nodes across slots), so each root is visited once.
     let roots: Vec<u32> = if trie.s == 0 {
@@ -722,8 +683,8 @@ pub(crate) fn release_trie_shared_leaves<K: Bits, N: NodeRepr>(
     debug_assert_eq!(trie.leaf_count, 0, "leaf refs remain after release");
 }
 
-/// Release the leaf blocks of the subtree rooted at `idx` (shared mode),
-/// touching no node storage.
+/// Release the leaf blocks of the subtree rooted at `idx`, touching no
+/// node storage.
 fn release_subtree_leaves<K: Bits, N: NodeRepr>(
     trie: &mut crate::trie::PoptrieImpl<K, N>,
     idx: u32,

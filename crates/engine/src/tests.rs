@@ -376,8 +376,9 @@ mod engine {
     #[test]
     fn every_submit_path_records_batch_size() {
         let fib = shared(&[("10.0.0.0/8", 1)]);
-        let vrfs = Arc::new(VrfTable::<u32>::private(
+        let vrfs = Arc::new(VrfTable::<u32>::shared(
             PoptrieConfig::new().direct_bits(16).build().unwrap(),
+            0,
         ));
         let tenant = vrfs.create();
         let engine = Engine::start(
@@ -443,12 +444,11 @@ mod engine {
 
     #[test]
     fn report_counts_publish_work() {
-        // Reserved arenas: no burst grows an array, which would make its
-        // publish and the next copy the whole FIB.
+        // A reserved node arena: no burst grows the node array, which
+        // would make its publish and the next copy the whole FIB.
         let cfg = PoptrieConfig::new()
             .direct_bits(16)
             .node_capacity(1 << 12)
-            .leaf_capacity(1 << 12)
             .build()
             .unwrap();
         let fib = Arc::new(SharedFib::with_config(cfg));

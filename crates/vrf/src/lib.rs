@@ -1,4 +1,4 @@
-//! # poptrie-vrf — multi-tenant VRF multiplexing over shared leaf arenas
+//! # poptrie-vrf — multi-tenant VRF multiplexing over one shared leaf store
 //!
 //! A hardware router running VRFs (virtual routing and forwarding) carries
 //! hundreds to thousands of routing tables: one per customer VPN, per
@@ -8,17 +8,15 @@
 //! FIBs are overwhelmingly *byte-identical*, and the per-table memory of a
 //! naive deployment scales with tenants instead of with distinct routes.
 //!
-//! This crate multiplexes many [`SharedFib`]s over one shared leaf arena:
-//!
-//! * [`NextHopIntern`] — the concrete
-//!   [`LeafInterner`](poptrie::LeafInterner): a content-addressed,
-//!   refcounted allocator over a fixed
-//!   [`ArenaOwner`](poptrie_buddy::ArenaOwner), with epoch-deferred
-//!   reclamation so RCU readers never observe a recycled extent.
-//! * [`VrfTable`] — the registry: [`VrfId`]-indexed creation and access
-//!   to per-tenant [`SharedFib`]s, each compiled against the group's
-//!   arena, plus group-wide memory/interning accounting and an exact
-//!   cross-table audit.
+//! This crate multiplexes many [`SharedFib`]s over one
+//! [`LeafStore`](poptrie::LeafStore): [`VrfTable`] is the registry, with
+//! [`VrfId`]-indexed creation and access to per-tenant [`SharedFib`]s,
+//! each compiled into the group's store, plus group-wide memory and
+//! interning accounting and an exact cross-table audit. The store
+//! interns leaf blocks by content, counts their references across
+//! tenants, grows by swapping in a larger slab, and reclaims an extent
+//! only once no pinned snapshot can still see it (see `poptrie`'s
+//! `leaf_store` module).
 //!
 //! Only *leaf* storage is shared. Node arrays and direct tables stay
 //! private per tenant: structural isolation is what keeps one tenant's
@@ -30,14 +28,14 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod intern;
 mod table;
 
 #[cfg(test)]
 mod tests;
 
-pub use intern::{InternStats, NextHopIntern};
 pub use table::{VrfMemory, VrfTable};
+
+pub use poptrie::InternStats;
 
 pub use poptrie::sync::SharedFib;
 pub use poptrie::VrfId;

@@ -1,16 +1,12 @@
 //! The [`VrfId`]-indexed registry of per-tenant FIBs.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use poptrie::config::PoptrieConfig;
-use poptrie::shared_leaves::{LeafInterner, LeafStoreHandle, SharedLeaves};
 use poptrie::sync::{BatchOutcome, FibSnapshot, RouteUpdate, SharedFib};
-use poptrie::VrfId;
+use poptrie::{InternStats, LeafStore, VrfId};
 use poptrie_bitops::Bits;
-use poptrie_buddy::ArenaOwner;
 use poptrie_rib::{NextHop, RadixTree};
-
-use crate::intern::{InternStats, NextHopIntern};
 
 /// Group-wide memory accounting, in the units the `repro vrf` bench
 /// reports: what the tenant set actually costs, shared storage counted
@@ -25,22 +21,24 @@ pub struct VrfMemory {
     pub node_bytes: usize,
     /// Per-table direct-table bytes, summed.
     pub direct_bytes: usize,
-    /// Private leaf bytes, summed (zero for a shared-arena group).
-    pub private_leaf_bytes: usize,
-    /// The shared store's bytes, counted **once** for the whole group
-    /// (zero for an unshared group).
+    /// The leaf bytes the tables would hold unshared: one two-byte slot
+    /// per leaf of each node (the paper's Table 2 accounting,
+    /// `stats().leaves * 2`), summed. Not part of
+    /// [`total_bytes`](VrfMemory::total_bytes).
+    pub unshared_leaf_bytes: usize,
+    /// The shared store's bytes, counted **once** for the whole group.
     pub shared_store_bytes: usize,
-    /// Shared-arena slots actually occupied by live extents (after buddy
+    /// Store slots actually occupied by live extents (after buddy
     /// rounding), in bytes — how much of `shared_store_bytes` is in use.
     pub shared_used_bytes: usize,
 }
 
 impl VrfMemory {
     /// Total accounted bytes: per-table structures plus the shared store
-    /// (the provisioned slab, not just its used fraction — the arena is
+    /// (its whole slab, not just its used fraction — the slab is
     /// committed memory either way).
     pub fn total_bytes(&self) -> usize {
-        self.node_bytes + self.direct_bytes + self.private_leaf_bytes + self.shared_store_bytes
+        self.node_bytes + self.direct_bytes + self.shared_store_bytes
     }
 
     /// `total_bytes` per route — the scale metric tenant multiplexing is
@@ -53,17 +51,12 @@ impl VrfMemory {
     }
 }
 
-/// A registry multiplexing many per-tenant [`SharedFib`]s, optionally over
-/// one shared leaf arena with next-hop interning.
-///
-/// * **Shared mode** ([`VrfTable::shared`]) — every table created through
-///   the registry compiles its leaf blocks into one fixed arena via
-///   [`NextHopIntern`]; byte-identical blocks across tenants are stored
-///   once. Nodes and direct tables stay private per tenant, so per-VRF
-///   update isolation and snapshot costs are unchanged from a standalone
-///   [`SharedFib`].
-/// * **Private mode** ([`VrfTable::private`]) — every table owns its
-///   leaves; the baseline the bench compares against.
+/// A registry multiplexing many per-tenant [`SharedFib`]s over one
+/// [`LeafStore`]: every table created through the registry interns its
+/// leaf blocks in the group's store, so byte-identical blocks across
+/// tenants are stored once. Nodes and direct tables stay private per
+/// tenant, so per-VRF update isolation and snapshot costs are unchanged
+/// from a standalone [`SharedFib`].
 ///
 /// Tables are created with [`VrfTable::create`] /
 /// [`VrfTable::create_from`] and addressed by [`VrfId`] thereafter. The
@@ -73,55 +66,30 @@ impl VrfMemory {
 pub struct VrfTable<K: Bits> {
     tables: std::sync::RwLock<Vec<Arc<SharedFib<K>>>>,
     config: PoptrieConfig,
-    /// Shared mode: the group handle cloned into every table, plus a
-    /// direct line to the concrete interner for stats and invariants.
-    shared: Option<(LeafStoreHandle, Arc<Mutex<NextHopIntern>>)>,
+    store: LeafStore,
 }
 
 impl<K: Bits> core::fmt::Debug for VrfTable<K> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("VrfTable")
             .field("tables", &self.len())
-            .field("shared", &self.shared.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl<K: Bits> VrfTable<K> {
-    /// A shared-arena registry: `leaf_capacity` slots of leaf storage
-    /// (two bytes each) provisioned once for the whole group.
+    /// A registry whose leaf store starts with `slots` leaf slots (two
+    /// bytes each) and grows on demand.
     ///
     /// # Panics
     ///
     /// Panics when `config.direct_bits >= K::BITS` (checked at the first
-    /// table creation) or `leaf_capacity` is zero.
-    pub fn shared(config: PoptrieConfig, leaf_capacity: u32) -> Self {
-        assert!(leaf_capacity > 0, "shared arena needs capacity");
-        let store = SharedLeaves::new(leaf_capacity);
-        let owner = ArenaOwner::fixed(leaf_capacity);
-        let intern = Arc::new(Mutex::new(NextHopIntern::new(
-            owner.handle(),
-            Arc::clone(&store),
-        )));
-        let dyn_intern: Arc<Mutex<dyn LeafInterner>> = {
-            let i: Arc<Mutex<NextHopIntern>> = Arc::clone(&intern);
-            i
-        };
-        let handle = LeafStoreHandle::new(store, dyn_intern);
+    /// table creation).
+    pub fn shared(config: PoptrieConfig, slots: u32) -> Self {
         VrfTable {
             tables: std::sync::RwLock::new(Vec::new()),
             config,
-            shared: Some((handle, intern)),
-        }
-    }
-
-    /// An unshared registry: every table owns its leaves. The baseline
-    /// `repro vrf` measures the shared mode against.
-    pub fn private(config: PoptrieConfig) -> Self {
-        VrfTable {
-            tables: std::sync::RwLock::new(Vec::new()),
-            config,
-            shared: None,
+            store: LeafStore::new(slots),
         }
     }
 
@@ -141,11 +109,6 @@ impl<K: Bits> VrfTable<K> {
         self.read().is_empty()
     }
 
-    /// Whether tables share the group leaf arena.
-    pub fn is_shared(&self) -> bool {
-        self.shared.is_some()
-    }
-
     /// Create an empty table; returns its [`VrfId`].
     pub fn create(&self) -> VrfId {
         self.create_from(RadixTree::new())
@@ -155,13 +118,9 @@ impl<K: Bits> VrfTable<K> {
     ///
     /// # Panics
     ///
-    /// Panics when `config.direct_bits >= K::BITS`, or (shared mode) when
-    /// the group arena cannot fit the table's leaf blocks.
+    /// Panics when `config.direct_bits >= K::BITS`.
     pub fn create_from(&self, rib: RadixTree<K, NextHop>) -> VrfId {
-        let fib = match &self.shared {
-            Some((handle, _)) => SharedFib::compile_shared(rib, self.config, handle.clone()),
-            None => SharedFib::compile(rib, self.config),
-        };
+        let fib = SharedFib::compile_in(rib, self.config, &self.store);
         let mut tables = self
             .tables
             .write()
@@ -193,13 +152,9 @@ impl<K: Bits> VrfTable<K> {
         self.get(id).map(|t| t.update_batch(updates))
     }
 
-    /// The group's interning stats (shared mode only).
+    /// The group's interning stats; always `Some`.
     pub fn intern_stats(&self) -> Option<InternStats> {
-        self.shared.as_ref().map(|(_, i)| {
-            i.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .stats()
-        })
+        Some(self.store.stats())
     }
 
     /// Group-wide memory accounting: per-table structures summed, the
@@ -215,26 +170,19 @@ impl<K: Bits> VrfTable<K> {
             m.routes += t.with_fib(|fib| fib.rib().len());
             m.node_bytes += stats.inodes * 24;
             m.direct_bytes += stats.direct_slots * 4;
-            if self.shared.is_none() {
-                m.private_leaf_bytes += stats.leaves * core::mem::size_of::<NextHop>();
-            }
+            m.unshared_leaf_bytes += stats.leaves * core::mem::size_of::<NextHop>();
         }
-        if let Some((handle, intern)) = &self.shared {
-            m.shared_store_bytes = handle.store().bytes();
-            let s = intern
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .stats();
-            m.shared_used_bytes = s.live_slots_rounded as usize * core::mem::size_of::<NextHop>();
-        }
+        m.shared_store_bytes = self.store.bytes();
+        let used = self.store.stats().live_slots_rounded as usize;
+        m.shared_used_bytes = used * core::mem::size_of::<NextHop>();
         m
     }
 
     /// Exact group audit: every table's
-    /// [`audit`](poptrie::Poptrie::audit) must pass, and in shared mode
-    /// the interner's own invariants must hold with the sum of per-table
-    /// leaf-block references reproducing its reference total exactly —
-    /// the cross-table proof that no table leaks or double-frees shared
+    /// [`audit`](poptrie::Poptrie::audit) must pass, the store's own
+    /// invariants must hold, and the sum of per-table leaf-block
+    /// references must reproduce its reference total exactly — the
+    /// cross-table proof that no table leaks or double-frees shared
     /// extents.
     pub fn audit(&self) -> Result<(), String> {
         let mut refs = 0u64;
@@ -244,17 +192,12 @@ impl<K: Bits> VrfTable<K> {
                 .map_err(|e| format!("vrf#{i}: {e}"))?;
             refs += report.leaf_block_refs as u64;
         }
-        if let Some((_, intern)) = &self.shared {
-            let g = intern
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            g.check_invariants()?;
-            if refs != g.total_refs() {
-                return Err(format!(
-                    "cross-table reference mismatch: tables hold {refs}, interner says {}",
-                    g.total_refs()
-                ));
-            }
+        self.store.check_invariants()?;
+        let total = self.store.stats().total_refs;
+        if refs != total {
+            return Err(format!(
+                "cross-table reference mismatch: tables hold {refs}, the store says {total}"
+            ));
         }
         Ok(())
     }

@@ -1,6 +1,6 @@
 use poptrie::config::PoptrieConfig;
-use poptrie::sync::RouteUpdate;
-use poptrie::VrfId;
+use poptrie::sync::{RouteUpdate, SharedFib};
+use poptrie::{Poptrie, VrfId};
 use poptrie_rib::{NextHop, Prefix, RadixTree};
 use poptrie_rng::prelude::*;
 
@@ -31,19 +31,18 @@ fn random_rib(rng: &mut StdRng, n: usize, max_nh: u16) -> RadixTree<u32, NextHop
 }
 
 /// Tenants cloned from one base feed must deduplicate almost all of their
-/// leaf storage, and the shared group must agree with a private group on
-/// every lookup.
+/// leaf storage, and every tenant must agree on every lookup with a table
+/// that has a leaf store of its own.
 #[test]
 fn cloned_tenants_dedup_and_agree_with_private() {
     let mut rng = StdRng::seed_from_u64(7);
     let base = random_rib(&mut rng, 2_000, 12);
 
     let shared: VrfTable<u32> = VrfTable::shared(cfg(), 1 << 20);
-    let private: VrfTable<u32> = VrfTable::private(cfg());
+    let private = SharedFib::compile(base.clone(), cfg());
     const TENANTS: usize = 8;
     for _ in 0..TENANTS {
         shared.create_from(base.clone());
-        private.create_from(base.clone());
     }
 
     let stats = shared.intern_stats().unwrap();
@@ -57,17 +56,16 @@ fn cloned_tenants_dedup_and_agree_with_private() {
         for i in 0..TENANTS as u32 {
             assert_eq!(
                 shared.get(VrfId::new(i)).unwrap().lookup(key),
-                private.get(VrfId::new(i)).unwrap().lookup(key),
+                private.lookup(key)
             );
         }
     }
 
     let sm = shared.memory();
-    let pm = private.memory();
-    assert_eq!(sm.routes, pm.routes);
-    assert!(sm.shared_used_bytes < pm.private_leaf_bytes / 2);
+    assert_eq!(sm.routes, TENANTS * base.len());
+    assert!(sm.shared_used_bytes < sm.unshared_leaf_bytes / 2);
     shared.audit().unwrap();
-    private.audit().unwrap();
+    private.with_fib(|f| f.poptrie().audit()).unwrap();
 }
 
 /// Churning one tenant must leave every other tenant's published snapshot
@@ -167,13 +165,71 @@ fn epoch_reclamation_waits_for_snapshots() {
     vrfs.audit().unwrap();
 }
 
-/// The arena refuses growth: interning fails cleanly (builder panics)
-/// when a group outgrows its provisioned slab.
+/// A two-tenant group starting at 64 slots grows several times under
+/// one tenant's churn. Snapshots pinned before the growth stay exact; the
+/// untouched tenant keeps serving from the old slab until its own update
+/// interns a block, and then serves from the new one.
 #[test]
-#[should_panic(expected = "shared leaf arena exhausted")]
-fn arena_exhaustion_panics_with_context() {
+fn store_grows_under_pinned_snapshots() {
     let mut rng = StdRng::seed_from_u64(10);
     let vrfs: VrfTable<u32> = VrfTable::shared(cfg(), 64);
-    // 64 slots cannot hold a real table's distinct leaf blocks.
-    vrfs.create_from(random_rib(&mut rng, 2_000, 64));
+    let (a, b) = (vrfs.create(), vrfs.create());
+    vrfs.update_batch(a, [RouteUpdate::Announce(p4("10.0.0.0/16"), 1)]);
+    vrfs.update_batch(b, [RouteUpdate::Announce(p4("10.1.0.0/16"), 2)]);
+    let small = vrfs.intern_stats().unwrap().capacity;
+    assert_eq!(small, 64);
+    let pinned = [vrfs.snapshot(a).unwrap(), vrfs.snapshot(b).unwrap()];
+    let ranges: Vec<_> = pinned.iter().map(|s| s.ranges()).collect();
+
+    let mut oracle = RadixTree::new();
+    oracle.insert(p4("10.0.0.0/16"), 1);
+    let churn = random_rib(&mut rng, 2_000, 64);
+    let announces: Vec<_> = churn.iter().map(|(p, &nh)| (p, nh)).collect();
+    for chunk in announces.chunks(250) {
+        for &(p, nh) in chunk {
+            oracle.insert(p, nh);
+        }
+        vrfs.update_batch(a, chunk.iter().map(|&(p, nh)| RouteUpdate::Announce(p, nh)));
+    }
+    let grown = vrfs.intern_stats().unwrap().capacity;
+    assert!(
+        grown >= small << 3,
+        "the store grew {small} -> {grown} slots"
+    );
+
+    for (snap, want) in pinned.iter().zip(&ranges) {
+        assert_eq!(&snap.ranges(), want, "a pinned snapshot changed");
+    }
+    let untouched = vrfs.snapshot(b).unwrap();
+    assert_eq!(untouched.leaf_store().slots(), small as usize);
+    assert_eq!(untouched.ranges(), ranges[1]);
+    let snap_a = vrfs.snapshot(a).unwrap();
+    assert_eq!(snap_a.leaf_store().slots(), grown as usize);
+    for _ in 0..20_000 {
+        let key: u32 = rng.gen();
+        assert_eq!(snap_a.lookup(key), oracle.lookup(key).copied());
+    }
+
+    vrfs.update_batch(b, [RouteUpdate::Announce(p4("192.0.2.0/24"), 3)]);
+    let updated = vrfs.snapshot(b).unwrap();
+    assert_eq!(updated.leaf_store().slots(), grown as usize);
+    assert_eq!(updated.lookup(0xC000_0201), Some(3));
+    assert_eq!(updated.lookup(0x0A01_0001), Some(2));
+    vrfs.audit().unwrap();
+}
+
+/// A tenant's blob carries its group's slab, so a tenant round-trips
+/// through `to_bytes`/`from_bytes` with equal ranges.
+#[test]
+fn tenant_round_trips_through_bytes() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let vrfs: VrfTable<u32> = VrfTable::shared(cfg(), 1 << 12);
+    let base = random_rib(&mut rng, 1_000, 8);
+    let ids = [vrfs.create_from(base.clone()), vrfs.create_from(base)];
+    vrfs.update_batch(ids[1], [RouteUpdate::Announce(p4("10.0.0.0/8"), 7)]);
+    for id in ids {
+        let snap = vrfs.snapshot(id).unwrap();
+        let loaded = Poptrie::<u32>::from_bytes(&snap.to_bytes()).unwrap();
+        assert_eq!(loaded.ranges(), snap.ranges());
+    }
 }

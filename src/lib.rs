@@ -71,7 +71,7 @@ pub use poptrie_telemetry as telemetry;
 /// `poptrie-bgp`).
 pub use poptrie_bgp as bgp;
 
-/// Multi-tenant VRF multiplexing over shared leaf arenas (re-export of
+/// Multi-tenant VRF multiplexing over one shared leaf store (re-export of
 /// `poptrie-vrf`).
 pub use poptrie_vrf as vrf;
 
@@ -85,7 +85,7 @@ pub mod prelude {
         Control, Engine, EngineConfig, EngineReport, Ingress, LatencySummary, QosPolicy,
         SourceReport,
     };
-    pub use poptrie_vrf::{InternStats, NextHopIntern, VrfMemory, VrfTable};
+    pub use poptrie_vrf::{InternStats, VrfMemory, VrfTable};
 }
 
 /// The baseline lookup algorithms the paper compares against.

@@ -399,7 +399,7 @@ fn churn_without_direct_pointing() {
     );
 }
 
-/// Multi-VRF mode: two tenants on one shared leaf arena, each replaying
+/// Multi-VRF mode: two tenants on one shared leaf store, each replaying
 /// its own independently seeded churn stream against its own RIB oracle.
 ///
 /// The point is cross-tenant interference: tenant A's announce can retire
@@ -407,7 +407,7 @@ fn churn_without_direct_pointing() {
 /// interned — the oracle probes after every event prove neither ever
 /// observes the other's churn, and [`VrfTable::audit`] (which runs
 /// `Poptrie::audit` on every table and reconciles the summed leaf-block
-/// references against the interner exactly) proves the shared arena's
+/// references against the store exactly) proves the shared store's
 /// bookkeeping survives the interleaving.
 #[test]
 fn churn_two_vrfs_on_shared_arena() {
@@ -444,7 +444,7 @@ fn churn_two_vrfs_on_shared_arena() {
     let mut rng = StdRng::seed_from_u64(0x0417_0009);
     for i in 0..streams[0].len().max(streams[1].len()) {
         // Interleave the tenants event by event so retire/intern races on
-        // the shared arena actually happen.
+        // the shared store actually happen.
         for t in 0..2 {
             let Some(ev) = streams[t].get(i) else {
                 continue;
@@ -481,7 +481,7 @@ fn churn_two_vrfs_on_shared_arena() {
     }
 
     // End state: both tenants oracle-exact over their ranges, group audit
-    // (per-table Poptrie::audit + exact interner reconciliation) green.
+    // (per-table Poptrie::audit + exact store reconciliation) green.
     vrfs.audit().expect("final group audit");
     for t in 0..2 {
         let fresh: poptrie_suite::Poptrie<u32> = Builder::new()
