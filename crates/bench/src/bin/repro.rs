@@ -1131,9 +1131,6 @@ fn slo_run(
     }
 }
 
-/// A [`poptrie_engine::LatencySummary`] as a JSON object fragment. Both
-/// unit systems are emitted: nanoseconds (host-independent) and
-/// calibrated TSC cycles (comparable to the paper's per-lookup figures).
 /// `repro vrf [--quick | --full] [--threads N]`: the multi-tenant VRF
 /// scale benchmark and its CI gate.
 ///

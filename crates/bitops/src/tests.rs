@@ -181,58 +181,106 @@ fn bitvec_rank_and_iter() {
     assert_eq!(v.iter_ones().len(), 4);
 }
 
-#[cfg(feature = "proptest")] // needs the proptest dev-dependency (see Cargo.toml)
 mod prop {
     use super::*;
-    use proptest::prelude::*;
+    use poptrie_rng::check;
 
-    proptest! {
-        #[test]
-        fn extract_matches_naive_u32(key: u32, off in 0u32..40, len in 1u32..=32) {
-            let naive: u32 = (0..len)
-                .map(|i| {
-                    let pos = off + i;
-                    let bit = if pos < 32 { (key >> (31 - pos)) & 1 } else { 0 };
-                    bit << (len - 1 - i)
-                })
-                .fold(0, |a, b| a | b);
-            prop_assert_eq!(key.extract(off, len), naive);
-        }
+    #[test]
+    fn extract_matches_naive_u32() {
+        check(
+            "extract_matches_naive_u32",
+            256,
+            |r| {
+                (
+                    r.gen::<u32>(),
+                    r.gen_range(0u32..40),
+                    r.gen_range(1u32..=32),
+                )
+            },
+            |(key, off, len)| {
+                let naive: u32 = (0..len)
+                    .map(|i| {
+                        let pos = off + i;
+                        let bit = if pos < 32 { (key >> (31 - pos)) & 1 } else { 0 };
+                        bit << (len - 1 - i)
+                    })
+                    .fold(0, |a, b| a | b);
+                assert_eq!(key.extract(off, len), naive);
+            },
+        );
+    }
 
-        #[test]
-        fn extract_matches_naive_u128(key: u128, off in 0u32..140, len in 1u32..=32) {
-            let naive: u32 = (0..len)
-                .map(|i| {
-                    let pos = off + i;
-                    let bit = if pos < 128 { ((key >> (127 - pos)) & 1) as u32 } else { 0 };
-                    bit << (len - 1 - i)
-                })
-                .fold(0, |a, b| a | b);
-            prop_assert_eq!(key.extract(off, len), naive);
-        }
+    #[test]
+    fn extract_matches_naive_u128() {
+        check(
+            "extract_matches_naive_u128",
+            256,
+            |r| {
+                (
+                    r.gen::<u128>(),
+                    r.gen_range(0u32..140),
+                    r.gen_range(1u32..=32),
+                )
+            },
+            |(key, off, len)| {
+                let naive: u32 = (0..len)
+                    .map(|i| {
+                        let pos = off + i;
+                        let bit = if pos < 128 {
+                            ((key >> (127 - pos)) & 1) as u32
+                        } else {
+                            0
+                        };
+                        bit << (len - 1 - i)
+                    })
+                    .fold(0, |a, b| a | b);
+                assert_eq!(key.extract(off, len), naive);
+            },
+        );
+    }
 
-        #[test]
-        fn rank1_matches_scan(v: u64, n in 0u32..64) {
-            let naive = (0..=n).filter(|i| (v >> i) & 1 == 1).count() as u32;
-            prop_assert_eq!(rank1(v, n), naive);
-        }
+    #[test]
+    fn rank1_matches_scan() {
+        check(
+            "rank1_matches_scan",
+            256,
+            |r| (r.gen::<u64>(), r.gen_range(0u32..64)),
+            |(v, n)| {
+                let naive = (0..=n).filter(|i| (v >> i) & 1 == 1).count() as u32;
+                assert_eq!(rank1(v, n), naive);
+            },
+        );
+    }
 
-        #[test]
-        fn iter_ones_sorted_and_complete(v: u64) {
-            let ones: Vec<u32> = BitVec64(v).iter_ones().collect();
-            prop_assert!(ones.windows(2).all(|w| w[0] < w[1]));
-            prop_assert_eq!(ones.len() as u32, v.count_ones());
-            for i in &ones {
-                prop_assert!((v >> i) & 1 == 1);
-            }
-        }
+    #[test]
+    fn iter_ones_sorted_and_complete() {
+        check(
+            "iter_ones_sorted_and_complete",
+            256,
+            |r| r.gen::<u64>(),
+            |v| {
+                let ones: Vec<u32> = BitVec64(v).iter_ones().collect();
+                assert!(ones.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(ones.len() as u32, v.count_ones());
+                for i in &ones {
+                    assert!((v >> i) & 1 == 1);
+                }
+            },
+        );
+    }
 
-        #[test]
-        fn prefix_mask_bit_pattern(len in 0u32..=32) {
-            let m = u32::prefix_mask(len);
-            for i in 0..32 {
-                prop_assert_eq!(m.bit(i), i < len);
-            }
-        }
+    #[test]
+    fn prefix_mask_bit_pattern() {
+        check(
+            "prefix_mask_bit_pattern",
+            256,
+            |r| r.gen_range(0u32..=32),
+            |len| {
+                let m = u32::prefix_mask(len);
+                for i in 0..32 {
+                    assert_eq!(m.bit(i), i < len);
+                }
+            },
+        );
     }
 }

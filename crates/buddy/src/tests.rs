@@ -240,31 +240,39 @@ fn live_block_tracks_random_churn() {
     assert_eq!(free_total + b.allocated_slots() as u64, b.capacity() as u64);
 }
 
-#[cfg(feature = "proptest")] // needs the proptest dev-dependency (see Cargo.toml)
 mod prop {
     use crate::Buddy;
-    use proptest::prelude::*;
+    use poptrie_rng::check;
 
-    proptest! {
-        #[test]
-        fn prop_no_overlap_and_accounting(ops in proptest::collection::vec((any::<bool>(), 1u32..=96), 1..200)) {
-            let mut b = Buddy::new();
-            let mut live: Vec<(u32, u32)> = Vec::new();
-            for (is_alloc, n) in ops {
-                if is_alloc || live.is_empty() {
-                    let off = b.alloc(n);
-                    let size = n.next_power_of_two();
-                    for &(o, s) in &live {
-                        prop_assert!(off + size <= o || o + s <= off);
+    #[test]
+    fn prop_no_overlap_and_accounting() {
+        check(
+            "prop_no_overlap_and_accounting",
+            256,
+            |r| {
+                (0..r.gen_range(1..200))
+                    .map(|_| (r.gen::<bool>(), r.gen_range(1u32..=96)))
+                    .collect::<Vec<_>>()
+            },
+            |ops| {
+                let mut b = Buddy::new();
+                let mut live: Vec<(u32, u32)> = Vec::new();
+                for (is_alloc, n) in ops {
+                    if is_alloc || live.is_empty() {
+                        let off = b.alloc(n);
+                        let size = n.next_power_of_two();
+                        for &(o, s) in &live {
+                            assert!(off + size <= o || o + s <= off);
+                        }
+                        live.push((off, size));
+                    } else {
+                        let idx = (n as usize) % live.len();
+                        let (off, size) = live.swap_remove(idx);
+                        b.free(off, size);
                     }
-                    live.push((off, size));
-                } else {
-                    let idx = (n as usize) % live.len();
-                    let (off, size) = live.swap_remove(idx);
-                    b.free(off, size);
+                    b.check_invariants().unwrap();
                 }
-                b.check_invariants().map_err(TestCaseError::fail)?;
-            }
-        }
+            },
+        );
     }
 }

@@ -208,6 +208,14 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         }
 
         let s = r.u8()?;
+        // The builder's bounds on `s` (see `Builder::direct_bits`): every
+        // shift by `s` and the unchecked direct-table read rely on them.
+        if s > 24 || s as u32 >= K::BITS {
+            return Err(SerializeError::Corrupt(format!(
+                "direct-pointing size {s} out of range for {}-bit keys",
+                K::BITS
+            )));
+        }
         let root = r.u32()?;
         let inode_count = r.u64()? as usize;
         let leaf_count = r.u64()? as usize;

@@ -435,18 +435,12 @@ impl TelemetrySnapshot {
             &[],
             self.rebuilds,
         );
-        let lat_buckets: Vec<(f64, u64)> = self
-            .update_latency
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (Log2Histogram::upper_bound(i) as f64, n))
-            .collect();
-        r.histogram(
+        r.log2_histogram(
             "poptrie_update_latency_cycles",
             "Per-update patch latency in TSC cycles, log2 buckets (cf. Table 6, sec. 4.9).",
             &[],
-            &lat_buckets,
-            self.update_latency_sum as f64,
+            &self.update_latency,
+            self.update_latency_sum,
         );
         r.counter(
             "poptrie_update_direct_replacements_total",

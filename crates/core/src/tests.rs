@@ -1,6 +1,5 @@
 use crate::sync::{RouteUpdate, SharedFib};
 use crate::{Applied, Builder, Fib, LeafStore, Poptrie, PoptrieBasic, PoptrieConfig};
-#[cfg(feature = "proptest")] // the oracle is only used by the gated proptests
 use poptrie_rib::LinearLpm;
 use poptrie_rib::{Lpm, Prefix, RadixTree};
 use poptrie_rng::prelude::*;
@@ -912,71 +911,95 @@ mod rcu {
     }
 }
 
-#[cfg(feature = "proptest")] // needs the proptest dev-dependency (see Cargo.toml)
-mod proptests {
+mod prop {
     use super::*;
-    use proptest::prelude::*;
+    use poptrie_rng::check;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Up to 49 random routes over a 16-bit key space.
+    fn routes(r: &mut StdRng) -> Vec<(Prefix<u16>, u16)> {
+        (0..r.gen_range(0..50))
+            .map(|_| {
+                let addr = r.gen::<u16>();
+                let len = r.gen_range(0u8..=16);
+                (Prefix::new(addr, len), r.gen_range(1u16..=20))
+            })
+            .collect()
+    }
 
-        #[test]
-        fn build_agrees_with_linear_oracle(
-            routes in proptest::collection::vec((any::<u16>(), 0u8..=16, 1u16..=20), 0..50),
-            s in prop_oneof![Just(0u8), Just(4), Just(7), Just(12)],
-            agg: bool,
-            keys in proptest::collection::vec(any::<u16>(), 128),
-        ) {
-            let routes: Vec<(Prefix<u16>, u16)> = routes
-                .into_iter()
-                .map(|(a, l, n)| (Prefix::new(a, l), n))
-                .collect();
-            let rib: RadixTree<u16, u16> = RadixTree::from_routes(routes.clone());
-            let lin = LinearLpm::new(rib.to_routes());
-            let t: Poptrie<u16> = Builder::new().direct_bits(s).aggregate(agg).build(&rib);
-            for key in keys {
-                prop_assert_eq!(t.lookup(key), Lpm::lookup(&lin, key));
-            }
-        }
+    fn keys(r: &mut StdRng, n: usize) -> Vec<u16> {
+        (0..n).map(|_| r.gen()).collect()
+    }
 
-        #[test]
-        fn serialization_roundtrips_arbitrary_tables(
-            routes in proptest::collection::vec((any::<u16>(), 0u8..=16, 1u16..=20), 0..50),
-            s in prop_oneof![Just(0u8), Just(7), Just(12)],
-        ) {
-            let routes: Vec<(Prefix<u16>, u16)> = routes
-                .into_iter()
-                .map(|(a, l, n)| (Prefix::new(a, l), n))
-                .collect();
-            let rib: RadixTree<u16, u16> = RadixTree::from_routes(routes);
-            let fib: Poptrie<u16> = Builder::new().direct_bits(s).build(&rib);
-            let loaded: Poptrie<u16> = Poptrie::from_bytes(&fib.to_bytes()).unwrap();
-            prop_assert_eq!(loaded.ranges(), fib.ranges());
-            prop_assert_eq!(loaded.stats(), fib.stats());
-        }
-
-        #[test]
-        fn incremental_update_agrees_with_oracle(
-            ops in proptest::collection::vec((any::<bool>(), any::<u16>(), 0u8..=16, 1u16..=9), 1..60),
-            keys in proptest::collection::vec(any::<u16>(), 64),
-        ) {
-            let mut fib: Fib<u16> = Fib::with_config(cfg(7));
-            let mut lin = LinearLpm::new(Vec::new());
-            for (is_insert, addr, len, nh) in ops {
-                let p = Prefix::new(addr, len);
-                if is_insert {
-                    fib.insert(p, nh).unwrap();
-                    lin.insert(p, nh);
-                } else {
-                    fib.remove(p).unwrap();
-                    lin.remove(p);
+    #[test]
+    fn build_agrees_with_linear_oracle() {
+        check(
+            "build_agrees_with_linear_oracle",
+            64,
+            |r| {
+                let s = *[0u8, 4, 7, 12].choose(r).unwrap();
+                (routes(r), s, r.gen::<bool>(), keys(r, 128))
+            },
+            |(routes, s, agg, keys)| {
+                let rib: RadixTree<u16, u16> = RadixTree::from_routes(routes);
+                let lin = LinearLpm::new(rib.to_routes());
+                let t: Poptrie<u16> = Builder::new().direct_bits(s).aggregate(agg).build(&rib);
+                for key in keys {
+                    assert_eq!(t.lookup(key), Lpm::lookup(&lin, key));
                 }
-            }
-            for key in keys {
-                prop_assert_eq!(fib.lookup(key), Lpm::lookup(&lin, key));
-            }
-            fib.poptrie().check_invariants().map_err(TestCaseError::fail)?;
-        }
+            },
+        );
+    }
+
+    #[test]
+    fn serialization_roundtrips_arbitrary_tables() {
+        check(
+            "serialization_roundtrips_arbitrary_tables",
+            64,
+            |r| (routes(r), *[0u8, 7, 12].choose(r).unwrap()),
+            |(routes, s)| {
+                let rib: RadixTree<u16, u16> = RadixTree::from_routes(routes);
+                let fib: Poptrie<u16> = Builder::new().direct_bits(s).build(&rib);
+                let loaded: Poptrie<u16> = Poptrie::from_bytes(&fib.to_bytes()).unwrap();
+                assert_eq!(loaded.ranges(), fib.ranges());
+                assert_eq!(loaded.stats(), fib.stats());
+            },
+        );
+    }
+
+    #[test]
+    fn incremental_update_agrees_with_oracle() {
+        check(
+            "incremental_update_agrees_with_oracle",
+            64,
+            |r| {
+                let ops: Vec<_> = (0..r.gen_range(1..60))
+                    .map(|_| {
+                        let is_insert = r.gen::<bool>();
+                        let addr = r.gen::<u16>();
+                        let len = r.gen_range(0u8..=16);
+                        (is_insert, Prefix::new(addr, len), r.gen_range(1u16..=9))
+                    })
+                    .collect();
+                (ops, keys(r, 64))
+            },
+            |(ops, keys)| {
+                let mut fib: Fib<u16> = Fib::with_config(cfg(7));
+                let mut lin = LinearLpm::new(Vec::new());
+                for (is_insert, p, nh) in ops {
+                    if is_insert {
+                        fib.insert(p, nh).unwrap();
+                        lin.insert(p, nh);
+                    } else {
+                        fib.remove(p).unwrap();
+                        lin.remove(p);
+                    }
+                }
+                for key in keys {
+                    assert_eq!(fib.lookup(key), Lpm::lookup(&lin, key));
+                }
+                fib.poptrie().check_invariants().unwrap();
+            },
+        );
     }
 }
 

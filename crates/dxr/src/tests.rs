@@ -1,5 +1,4 @@
 use crate::{Dxr, Dxr6, DxrConfig, DxrError};
-#[cfg(feature = "proptest")] // the oracle is only used by the gated proptests
 use poptrie_rib::LinearLpm;
 use poptrie_rib::{Lpm, Prefix, RadixTree};
 use poptrie_rng::prelude::*;
@@ -280,34 +279,39 @@ mod v6 {
     }
 }
 
-#[cfg(feature = "proptest")] // needs the proptest dev-dependency (see Cargo.toml)
 mod prop {
     use super::*;
-    use proptest::prelude::*;
+    use poptrie_rng::check;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn dxr_matches_oracle_on_dense_chunk(
-            routes in proptest::collection::vec((0u32..=0xFFFF, 17u8..=32, 1u16..=300), 1..40),
-            keys in proptest::collection::vec(0u32..=0xFFFF, 64),
-        ) {
-            // All routes inside 10.1.0.0/16 so chunk-internal logic is hit.
-            let routes: Vec<(Prefix<u32>, u16)> = routes
-                .into_iter()
-                .map(|(low, len, nh)| (Prefix::new(0x0A01_0000 | low, len), nh))
-                .collect();
-            let rib = RadixTree::from_routes(routes.clone());
-            let lin = LinearLpm::new(routes);
-            for cfg in [DxrConfig::d16r(), DxrConfig::d18r()] {
-                let d = Dxr::from_rib(&rib, cfg).unwrap();
-                for &low in &keys {
-                    let key = 0x0A01_0000 | low;
-                    prop_assert_eq!(d.lookup(key), Lpm::lookup(&lin, key));
+    #[test]
+    fn dxr_matches_oracle_on_dense_chunk() {
+        check(
+            "dxr_matches_oracle_on_dense_chunk",
+            32,
+            |r| {
+                // All routes inside 10.1.0.0/16 so chunk-internal logic is hit.
+                let routes: Vec<(Prefix<u32>, u16)> = (0..r.gen_range(1..40))
+                    .map(|_| {
+                        let low = r.gen_range(0u32..=0xFFFF);
+                        let len = r.gen_range(17u8..=32);
+                        (Prefix::new(0x0A01_0000 | low, len), r.gen_range(1u16..=300))
+                    })
+                    .collect();
+                let keys: Vec<u32> = (0..64).map(|_| r.gen_range(0u32..=0xFFFF)).collect();
+                (routes, keys)
+            },
+            |(routes, keys)| {
+                let rib = RadixTree::from_routes(routes.clone());
+                let lin = LinearLpm::new(routes);
+                for cfg in [DxrConfig::d16r(), DxrConfig::d18r()] {
+                    let d = Dxr::from_rib(&rib, cfg).unwrap();
+                    for &low in &keys {
+                        let key = 0x0A01_0000 | low;
+                        assert_eq!(d.lookup(key), Lpm::lookup(&lin, key));
+                    }
                 }
-            }
-        }
+            },
+        );
     }
 }
 

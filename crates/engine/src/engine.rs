@@ -366,10 +366,9 @@ impl<K: Bits> Ingress<K> {
                 break;
             };
             match queue.try_push_from(self.source, self.quota, stamped) {
-                Ok(depth) => {
+                Ok(()) => {
                     self.stats.submitted_batches.inc();
                     self.stats.batch_size.record(packets);
-                    self.stats.worker(w).queue_depth.record_max(depth as u64);
                     if self.source != NO_SOURCE {
                         self.stats.sources()[self.source as usize]
                             .submitted_batches
@@ -1124,9 +1123,9 @@ fn worker_main<K: Bits>(
             // the closing event of a convergence span.
             #[cfg(feature = "observe")]
             let mut last_version: u64 = 0;
-            while let Some((source, (enqueued, vrf, batch))) = queue.pop_entry() {
+            while let Some((source, (enqueued, vrf, batch), depth)) = queue.pop_entry() {
                 let w = stats.worker(idx);
-                w.queue_depth.set(queue.len() as u64);
+                w.queue_depth.set(depth as u64);
                 let wait = enqueued.elapsed();
                 w.queue_wait_ns.record(wait.as_nanos() as u64);
                 // The per-batch sampling gate: decide once at dequeue so

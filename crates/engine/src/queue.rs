@@ -129,10 +129,8 @@ impl<T> Bounded<T> {
     }
 
     /// Non-blocking push with no source tag and no quota: only the total
-    /// capacity bounds admission. On success returns the queue depth
-    /// *after* the push (for depth gauges); on failure hands the item
-    /// back.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
+    /// capacity bounds admission. On failure hands the item back.
+    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         self.try_push_from(NO_SOURCE, usize::MAX, item)
     }
 
@@ -143,7 +141,7 @@ impl<T> Bounded<T> {
     /// the *caller's* per-source slot budget (derived from its weight);
     /// the queue just enforces whatever budget each push presents.
     /// `NO_SOURCE` pushes bypass quota accounting entirely.
-    pub fn try_push_from(&self, source: u32, quota: usize, item: T) -> Result<usize, PushError<T>> {
+    pub fn try_push_from(&self, source: u32, quota: usize, item: T) -> Result<(), PushError<T>> {
         let mut g = self.lock();
         if g.closed {
             return Err(PushError::Closed(item));
@@ -162,7 +160,6 @@ impl<T> Bounded<T> {
             g.occupancy[s] += 1;
         }
         g.items.push_back((source, item));
-        let depth = g.items.len();
         drop(g);
         // Wake-free fast path: a spinning (or busy) consumer re-checks
         // the queue itself; only a consumer that actually parked needs
@@ -170,7 +167,7 @@ impl<T> Bounded<T> {
         if self.parked.load(Ordering::Relaxed) > 0 {
             self.notify.notify_one();
         }
-        Ok(depth)
+        Ok(())
     }
 
     /// Pop the head under the lock, releasing its source's quota slot.
@@ -189,18 +186,20 @@ impl<T> Bounded<T> {
     /// parking (see the module docs).
     #[cfg_attr(not(test), allow(dead_code))] // engine paths use pop_entry/pop_up_to
     pub fn pop(&self) -> Option<T> {
-        self.pop_entry().map(|(_, item)| item)
+        self.pop_entry().map(|(_, item, _)| item)
     }
 
     /// Blocking pop that also returns the item's source tag
     /// (`NO_SOURCE` for untagged pushes) — the worker uses it to
-    /// attribute deadline drops and deliveries per source.
-    pub fn pop_entry(&self) -> Option<(u32, T)> {
+    /// attribute deadline drops and deliveries per source — and the
+    /// number of items left queued behind it, read under the same lock
+    /// (the worker's queue-depth gauge).
+    pub fn pop_entry(&self) -> Option<(u32, T, usize)> {
         for round in 0..SPIN_ROUNDS {
             {
                 let mut g = self.lock();
-                if let Some(entry) = Self::take(&mut g) {
-                    return Some(entry);
+                if let Some((source, item)) = Self::take(&mut g) {
+                    return Some((source, item, g.items.len()));
                 }
                 if g.closed {
                     return None;
@@ -210,8 +209,8 @@ impl<T> Bounded<T> {
         }
         let mut g = self.lock();
         loop {
-            if let Some(entry) = Self::take(&mut g) {
-                return Some(entry);
+            if let Some((source, item)) = Self::take(&mut g) {
+                return Some((source, item, g.items.len()));
             }
             if g.closed {
                 return None;

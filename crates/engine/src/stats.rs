@@ -16,7 +16,8 @@ pub struct WorkerStats {
     pub packets: Counter,
     /// Batches drained from this worker's queue.
     pub batches: Counter,
-    /// Momentary depth of this worker's ingress queue.
+    /// Batches left in this worker's ingress queue when it last took
+    /// one.
     pub queue_depth: Gauge,
     /// Times the worker body panicked and was respawned in place.
     pub respawns: Counter,
@@ -271,18 +272,12 @@ impl EngineTelemetry {
                 ("poptrie_engine_queue_wait_ns", &w.queue_wait_ns),
                 ("poptrie_engine_service_ns", &w.service_ns),
             ] {
-                let counts = h.counts();
-                let bounds: Vec<(f64, u64)> = counts
-                    .iter()
-                    .enumerate()
-                    .map(|(b, &n)| (Log2Histogram::upper_bound(b) as f64, n))
-                    .collect();
-                reg.histogram(
+                reg.log2_histogram(
                     name,
                     "Per-batch latency in nanoseconds (log2 buckets), per worker.",
                     labels,
-                    &bounds,
-                    h.sum() as f64,
+                    &h.counts(),
+                    h.sum(),
                 );
             }
         }
@@ -367,21 +362,13 @@ impl EngineTelemetry {
             &[],
             self.writer_respawns.get(),
         );
-        {
-            let counts = self.convergence_ns.counts();
-            let bounds: Vec<(f64, u64)> = counts
-                .iter()
-                .enumerate()
-                .map(|(b, &n)| (Log2Histogram::upper_bound(b) as f64, n))
-                .collect();
-            reg.histogram(
-                "poptrie_engine_convergence_ns",
-                "Route-update convergence lag in nanoseconds (send to snapshot publish, log2 buckets).",
-                &[],
-                &bounds,
-                self.convergence_ns.sum() as f64,
-            );
-        }
+        reg.log2_histogram(
+            "poptrie_engine_convergence_ns",
+            "Route-update convergence lag in nanoseconds (send to snapshot publish, log2 buckets).",
+            &[],
+            &self.convergence_ns.counts(),
+            self.convergence_ns.sum(),
+        );
         reg.gauge(
             "poptrie_engine_published_version",
             "Version of the most recently published FIB snapshot.",
@@ -406,18 +393,12 @@ impl EngineTelemetry {
             &[],
             self.vrf_updates.get(),
         );
-        let counts = self.batch_size.counts();
-        let bounds: Vec<(f64, u64)> = counts
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (Log2Histogram::upper_bound(i) as f64, n))
-            .collect();
-        reg.histogram(
+        reg.log2_histogram(
             "poptrie_engine_batch_size",
             "Keys per accepted batch (log2 buckets).",
             &[],
-            &bounds,
-            self.batch_size.sum() as f64,
+            &self.batch_size.counts(),
+            self.batch_size.sum(),
         );
         reg
     }

@@ -33,12 +33,13 @@ mod queue {
     #[test]
     fn bounded_push_pop_fifo() {
         let q: Bounded<u32> = Bounded::new(3);
-        assert_eq!(q.try_push(1).unwrap(), 1);
-        assert_eq!(q.try_push(2).unwrap(), 2);
-        assert_eq!(q.try_push(3).unwrap(), 3);
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        q.try_push(3).unwrap();
         assert!(matches!(q.try_push(4), Err(PushError::Full(4))));
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(4).unwrap(), 3);
+        q.try_push(4).unwrap();
+        assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), Some(4));
@@ -84,13 +85,27 @@ mod queue {
         assert!(q.try_push_from(1, 2, 20).is_ok());
         assert!(q.try_push(30).is_ok());
         // Popping a source-0 item releases its slot.
-        assert_eq!(q.pop_entry(), Some((0, 10)));
+        assert_eq!(q.pop_entry(), Some((0, 10, 3)));
         assert!(q.try_push_from(0, 2, 12).is_ok());
         // FIFO order is preserved across sources.
-        assert_eq!(q.pop_entry(), Some((0, 11)));
-        assert_eq!(q.pop_entry(), Some((1, 20)));
+        assert_eq!(q.pop_entry(), Some((0, 11, 3)));
+        assert_eq!(q.pop_entry(), Some((1, 20, 2)));
         assert_eq!(q.pop(), Some(30));
         assert_eq!(q.pop(), Some(12));
+    }
+
+    #[test]
+    fn pop_entry_reports_the_depth_left_behind() {
+        for k in 1..=6usize {
+            let q: Bounded<usize> = Bounded::new(8);
+            for i in 0..k {
+                q.try_push(i).unwrap();
+            }
+            for j in 1..=k {
+                let (_, item, depth) = q.pop_entry().unwrap();
+                assert_eq!((item, depth), (j - 1, k - j), "k={k} j={j}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,3 @@
-#[cfg(feature = "proptest")] // the oracle is only used by the gated proptests
 use crate::LinearLpm;
 use crate::{Lpm, Patricia, Prefix, RadixTree};
 
@@ -614,69 +613,99 @@ mod u64_keys {
     }
 }
 
-#[cfg(feature = "proptest")] // needs the proptest dev-dependency (see Cargo.toml)
 mod cross_validation {
     use super::*;
-    use proptest::prelude::*;
+    use poptrie_rng::{check, StdRng};
 
     /// Arbitrary route tables over a 16-bit key space.
-    fn routes_strategy() -> impl Strategy<Value = Vec<(Prefix<u16>, u16)>> {
-        proptest::collection::vec((any::<u16>(), 0u8..=16, 1u16..=30), 0..60).prop_map(|v| {
-            v.into_iter()
-                .map(|(addr, len, nh)| (Prefix::new(addr, len), nh))
-                .collect()
-        })
+    fn routes(r: &mut StdRng) -> Vec<(Prefix<u16>, u16)> {
+        (0..r.gen_range(0..60))
+            .map(|_| {
+                let addr = r.gen::<u16>();
+                let len = r.gen_range(0u8..=16);
+                (Prefix::new(addr, len), r.gen_range(1u16..=30))
+            })
+            .collect()
     }
 
-    proptest! {
-        #[test]
-        fn radix_patricia_linear_agree(routes in routes_strategy(), keys in proptest::collection::vec(any::<u16>(), 64)) {
-            let radix: RadixTree<u16, u16> = RadixTree::from_routes(routes.clone());
-            let mut pat: Patricia<u16, u16> = Patricia::new();
-            for &(p, v) in &routes {
-                pat.insert(p, v);
-            }
-            let lin = LinearLpm::new(routes.clone());
-            prop_assert_eq!(radix.len(), pat.len());
-            for key in keys {
-                let want = Lpm::lookup(&lin, key);
-                prop_assert_eq!(Lpm::lookup(&radix, key), want);
-                prop_assert_eq!(Lpm::lookup(&pat, key), want);
-            }
-        }
+    fn keys(r: &mut StdRng) -> Vec<u16> {
+        (0..64).map(|_| r.gen()).collect()
+    }
 
-        #[test]
-        fn aggregation_preserves_lookup(routes in routes_strategy(), keys in proptest::collection::vec(any::<u16>(), 64)) {
-            let radix: RadixTree<u16, u16> = RadixTree::from_routes(routes);
-            let agg = radix.aggregated();
-            prop_assert!(agg.len() <= radix.len());
-            for key in keys {
-                prop_assert_eq!(radix.lookup(key), agg.lookup(key));
-            }
-        }
+    #[test]
+    fn radix_patricia_linear_agree() {
+        check(
+            "radix_patricia_linear_agree",
+            256,
+            |r| (routes(r), keys(r)),
+            |(routes, keys)| {
+                let radix: RadixTree<u16, u16> = RadixTree::from_routes(routes.clone());
+                let mut pat: Patricia<u16, u16> = Patricia::new();
+                for &(p, v) in &routes {
+                    pat.insert(p, v);
+                }
+                let lin = LinearLpm::new(routes.clone());
+                assert_eq!(radix.len(), pat.len());
+                for key in keys {
+                    let want = Lpm::lookup(&lin, key);
+                    assert_eq!(Lpm::lookup(&radix, key), want);
+                    assert_eq!(Lpm::lookup(&pat, key), want);
+                }
+            },
+        );
+    }
 
-        #[test]
-        fn removal_matches_linear(ops in proptest::collection::vec((any::<bool>(), any::<u16>(), 0u8..=16, 1u16..=5), 1..80)) {
-            let mut radix: RadixTree<u16, u16> = RadixTree::new();
-            let mut lin = LinearLpm::new(Vec::new());
-            for (is_insert, addr, len, nh) in ops {
-                let p = Prefix::new(addr, len);
-                if is_insert {
-                    radix.insert(p, nh);
-                    lin.insert(p, nh);
-                } else {
-                    let a = radix.remove(p);
-                    let b = lin.remove(p);
-                    prop_assert_eq!(a.is_some(), b.is_some());
+    #[test]
+    fn aggregation_preserves_lookup() {
+        check(
+            "aggregation_preserves_lookup",
+            256,
+            |r| (routes(r), keys(r)),
+            |(routes, keys)| {
+                let radix: RadixTree<u16, u16> = RadixTree::from_routes(routes);
+                let agg = radix.aggregated();
+                assert!(agg.len() <= radix.len());
+                for key in keys {
+                    assert_eq!(radix.lookup(key), agg.lookup(key));
                 }
-            }
-            prop_assert_eq!(radix.len(), lin.len());
-            for key in 0..=u16::MAX {
-                if key % 257 == 0 {
-                    prop_assert_eq!(Lpm::lookup(&radix, key), Lpm::lookup(&lin, key));
+            },
+        );
+    }
+
+    #[test]
+    fn removal_matches_linear() {
+        check(
+            "removal_matches_linear",
+            256,
+            |r| {
+                (0..r.gen_range(1..80))
+                    .map(|_| {
+                        let is_insert = r.gen::<bool>();
+                        let addr = r.gen::<u16>();
+                        let len = r.gen_range(0u8..=16);
+                        (is_insert, Prefix::new(addr, len), r.gen_range(1u16..=5))
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |ops| {
+                let mut radix: RadixTree<u16, u16> = RadixTree::new();
+                let mut lin = LinearLpm::new(Vec::new());
+                for (is_insert, p, nh) in ops {
+                    if is_insert {
+                        radix.insert(p, nh);
+                        lin.insert(p, nh);
+                    } else {
+                        let a = radix.remove(p);
+                        let b = lin.remove(p);
+                        assert_eq!(a.is_some(), b.is_some());
+                    }
                 }
-            }
-        }
+                assert_eq!(radix.len(), lin.len());
+                for key in (0..=u16::MAX).step_by(257) {
+                    assert_eq!(Lpm::lookup(&radix, key), Lpm::lookup(&lin, key));
+                }
+            },
+        );
     }
 }
 

@@ -5,9 +5,9 @@
 //! lookup routine using the xorshift, which allocates only four 32-bit
 //! variables". This crate holds those generators ([`Xorshift32`],
 //! [`Xorshift128`]) plus a thin `rand`-flavoured convenience layer
-//! ([`StdRng`], [`prelude`]) so the dataset synthesizer and the test
-//! suites need no external crates — the whole workspace builds and tests
-//! with `cargo --offline`.
+//! ([`StdRng`], [`prelude`]) and a seeded property runner ([`check`]) so
+//! the dataset synthesizer and the test suites need no external crates —
+//! the whole workspace builds and tests with `cargo --offline`.
 //!
 //! The convenience API deliberately mirrors the subset of `rand` the
 //! workspace used (`seed_from_u64`, `gen`, `gen_range`, `gen_bool`,
@@ -18,8 +18,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod check;
 mod xorshift;
 
+pub use check::check;
 pub use xorshift::{Xorshift128, Xorshift32};
 
 /// The subset of the `rand` prelude the workspace uses.
@@ -167,6 +169,9 @@ macro_rules! impl_sample_range_uint {
                 if start == <$t>::MIN && end == <$t>::MAX {
                     return Standard::sample(rng);
                 }
+                if end == <$t>::MAX {
+                    return (start - 1..end).sample(rng) + 1;
+                }
                 (start..end + 1).sample(rng)
             }
         }
@@ -195,7 +200,10 @@ macro_rules! impl_sample_range_int {
                     let v: $u = Standard::sample(rng);
                     return v as $t;
                 }
-                (start..end.wrapping_add(1)).sample(rng)
+                if end == <$t>::MAX {
+                    return (start - 1..end).sample(rng) + 1;
+                }
+                (start..end + 1).sample(rng)
             }
         }
     )*};

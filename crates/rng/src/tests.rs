@@ -132,3 +132,48 @@ fn signed_ranges_work() {
         assert!((-3..=3).contains(&v));
     }
 }
+
+#[test]
+fn check_runs_every_case_with_a_fixed_input_sequence() {
+    let draw = |name| {
+        let mut seen = Vec::new();
+        super::check(name, 32, |rng| rng.gen::<u64>(), |v| seen.push(v));
+        seen
+    };
+    let first = draw("a");
+    assert_eq!(first.len(), 32);
+    assert_eq!(first, draw("a"), "the same name replays the same inputs");
+    assert_ne!(first, draw("b"), "another name draws other inputs");
+}
+
+#[test]
+fn check_names_the_failing_case_and_its_seed() {
+    let failure = std::panic::catch_unwind(|| {
+        super::check("fails_at_seven", 16, |_| (), {
+            let mut case = 0;
+            move |()| {
+                assert!(case != 7, "boom");
+                case += 1;
+            }
+        })
+    })
+    .unwrap_err();
+    let msg = failure.downcast_ref::<String>().unwrap();
+    assert!(
+        msg.contains("`fails_at_seven` failed on case 7 of 16"),
+        "{msg}"
+    );
+    assert!(msg.contains("(seed 0x"), "{msg}");
+    assert!(msg.ends_with("boom"), "{msg}");
+}
+
+#[test]
+fn inclusive_ranges_may_end_at_the_type_maximum() {
+    let mut rng = StdRng::seed_from_u64(9);
+    for _ in 0..1_000 {
+        assert!(rng.gen_range(1u8..=u8::MAX) >= 1);
+        assert!(rng.gen_range(u64::MAX - 1..=u64::MAX) >= u64::MAX - 1);
+        assert!(rng.gen_range(-1i8..=i8::MAX) >= -1);
+    }
+    assert_eq!(rng.gen_range(u16::MAX..=u16::MAX), u16::MAX);
+}

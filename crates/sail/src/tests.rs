@@ -1,5 +1,4 @@
 use crate::{Sail, SailError, MAX_CHUNKS};
-#[cfg(feature = "proptest")] // the oracle is only used by the gated proptests
 use poptrie_rib::LinearLpm;
 use poptrie_rib::{Lpm, Prefix, RadixTree};
 use poptrie_rng::prelude::*;
@@ -173,30 +172,35 @@ fn memory_accounting() {
     assert_eq!(Lpm::name(&s), "SAIL");
 }
 
-#[cfg(feature = "proptest")] // needs the proptest dev-dependency (see Cargo.toml)
 mod prop {
     use super::*;
-    use proptest::prelude::*;
+    use poptrie_rng::check;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn sail_matches_oracle(
-            routes in proptest::collection::vec((any::<u32>(), 0u8..=32, 1u16..=500), 0..50),
-            keys in proptest::collection::vec(any::<u32>(), 128),
-        ) {
-            let routes: Vec<(Prefix<u32>, u16)> = routes
-                .into_iter()
-                .map(|(a, l, n)| (Prefix::new(a, l), n))
-                .collect();
-            let rib = RadixTree::from_routes(routes.clone());
-            let lin = LinearLpm::new(rib.to_routes());
-            let s = Sail::from_rib(&rib).unwrap();
-            for key in keys {
-                prop_assert_eq!(s.lookup(key), Lpm::lookup(&lin, key));
-            }
-        }
+    #[test]
+    fn sail_matches_oracle() {
+        check(
+            "sail_matches_oracle",
+            32,
+            |r| {
+                let routes: Vec<(Prefix<u32>, u16)> = (0..r.gen_range(0..50))
+                    .map(|_| {
+                        let addr = r.gen::<u32>();
+                        let len = r.gen_range(0u8..=32);
+                        (Prefix::new(addr, len), r.gen_range(1u16..=500))
+                    })
+                    .collect();
+                let keys: Vec<u32> = (0..128).map(|_| r.gen()).collect();
+                (routes, keys)
+            },
+            |(routes, keys)| {
+                let rib = RadixTree::from_routes(routes);
+                let lin = LinearLpm::new(rib.to_routes());
+                let s = Sail::from_rib(&rib).unwrap();
+                for key in keys {
+                    assert_eq!(s.lookup(key), Lpm::lookup(&lin, key));
+                }
+            },
+        );
     }
 }
 

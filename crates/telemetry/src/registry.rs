@@ -9,6 +9,7 @@
 
 use crate::json;
 use crate::json::Json;
+use crate::Log2Histogram;
 
 /// The value of a single metric sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +106,25 @@ impl TelemetryRegistry {
                 sum,
             },
         )
+    }
+
+    /// Push a histogram sample from a [`Log2Histogram`]'s per-bucket
+    /// counts (as returned by [`Log2Histogram::counts`]) and their sum,
+    /// with the bucket bounds of [`Log2Histogram::upper_bound`].
+    pub fn log2_histogram(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        counts: &[u64],
+        sum: u64,
+    ) -> &mut Self {
+        let bounds: Vec<(f64, u64)> = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (Log2Histogram::upper_bound(i) as f64, n))
+            .collect();
+        self.histogram(name, help, labels, &bounds, sum as f64)
     }
 
     fn push(

@@ -1,5 +1,4 @@
 use crate::{internal_bit, TreeBitmap, TreeBitmap4, TreeBitmap64};
-#[cfg(feature = "proptest")] // the oracle is only used by the gated proptests
 use poptrie_rib::LinearLpm;
 use poptrie_rib::{Lpm, Prefix, RadixTree};
 use poptrie_rng::prelude::*;
@@ -122,33 +121,38 @@ fn memory_and_name() {
     assert_eq!(Lpm::<u32>::name(&t), "Tree BitMap");
 }
 
-#[cfg(feature = "proptest")] // needs the proptest dev-dependency (see Cargo.toml)
 mod prop {
     use super::*;
-    use proptest::prelude::*;
+    use poptrie_rng::check;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn agrees_with_linear_oracle(
-            routes in proptest::collection::vec((any::<u16>(), 0u8..=16, 1u16..=20), 0..60),
-            keys in proptest::collection::vec(any::<u16>(), 128),
-        ) {
-            let routes: Vec<(Prefix<u16>, u16)> = routes
-                .into_iter()
-                .map(|(a, l, n)| (Prefix::new(a, l), n))
-                .collect();
-            let rib: RadixTree<u16, u16> = RadixTree::from_routes(routes.clone());
-            let lin = LinearLpm::new(rib.to_routes());
-            let t4: TreeBitmap4<u16> = TreeBitmap::from_rib(&rib);
-            let t6: TreeBitmap64<u16> = TreeBitmap::from_rib(&rib);
-            for key in keys {
-                let want = Lpm::lookup(&lin, key);
-                prop_assert_eq!(t4.lookup(key), want);
-                prop_assert_eq!(t6.lookup(key), want);
-            }
-        }
+    #[test]
+    fn agrees_with_linear_oracle() {
+        check(
+            "agrees_with_linear_oracle",
+            48,
+            |r| {
+                let routes: Vec<(Prefix<u16>, u16)> = (0..r.gen_range(0..60))
+                    .map(|_| {
+                        let addr = r.gen::<u16>();
+                        let len = r.gen_range(0u8..=16);
+                        (Prefix::new(addr, len), r.gen_range(1u16..=20))
+                    })
+                    .collect();
+                let keys: Vec<u16> = (0..128).map(|_| r.gen()).collect();
+                (routes, keys)
+            },
+            |(routes, keys)| {
+                let rib: RadixTree<u16, u16> = RadixTree::from_routes(routes);
+                let lin = LinearLpm::new(rib.to_routes());
+                let t4: TreeBitmap4<u16> = TreeBitmap::from_rib(&rib);
+                let t6: TreeBitmap64<u16> = TreeBitmap::from_rib(&rib);
+                for key in keys {
+                    let want = Lpm::lookup(&lin, key);
+                    assert_eq!(t4.lookup(key), want);
+                    assert_eq!(t6.lookup(key), want);
+                }
+            },
+        );
     }
 }
 

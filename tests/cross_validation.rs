@@ -214,7 +214,7 @@ fn batched_lookup_matches_scalar() {
 #[test]
 fn linear_oracle_agrees_with_radix() {
     // The oracle itself is validated against the RIB here; the per-crate
-    // proptests lean on it.
+    // property tests lean on it.
     let d = spec("xval-oracle", 2_000, 8, TableKind::Real);
     let rib = d.to_rib();
     let lin = LinearLpm::new(d.routes.clone());
