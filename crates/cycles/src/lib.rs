@@ -10,7 +10,8 @@
 //! * [`tsc`] reads the time-stamp counter with serializing fences
 //!   (`RDTSC` bracketed by `LFENCE`), the standard user-space equivalent,
 //!   and [`tsc::overhead`] calibrates and exposes the constant measurement
-//!   cost so harnesses can subtract it like the paper does;
+//!   cost so harnesses can subtract it like the paper does; [`tsc::now`]
+//!   is the one unfenced read, for cheap timestamps;
 //! * [`stats`] computes the exact statistics the paper reports:
 //!   [`stats::Percentiles`] (Table 4), [`stats::Cdf`] (Figure 10) and
 //!   [`stats::Candlestick`] (Figure 11);

@@ -1,7 +1,7 @@
 use crate::heatmap::Heatmap;
 use crate::stats::{Candlestick, Cdf, Percentiles};
 use crate::tsc::{
-    cycles_per_ns, cycles_per_second, cycles_to_ns, measure_batch, ns_to_cycles, overhead,
+    cycles_per_ns, cycles_per_second, cycles_to_ns, measure_batch, now, ns_to_cycles, overhead,
     rdtsc_serialized,
 };
 
@@ -16,6 +16,28 @@ mod tsc {
             assert!(now >= last);
             last = now;
         }
+    }
+
+    #[test]
+    fn now_never_goes_backwards() {
+        let mut last = now();
+        for _ in 0..100_000 {
+            let t = now();
+            assert!(t >= last, "{t} < {last}");
+            last = t;
+        }
+    }
+
+    #[test]
+    fn now_agrees_with_instant_over_a_sleep() {
+        let wall = std::time::Instant::now();
+        let t0 = now();
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let t1 = now();
+        let wall_ns = wall.elapsed().as_nanos() as f64;
+        let tsc_ns = cycles_to_ns(t1 - t0) as f64;
+        let err = (tsc_ns - wall_ns).abs() / wall_ns;
+        assert!(err < 0.05, "tsc {tsc_ns} ns vs Instant {wall_ns} ns");
     }
 
     #[test]

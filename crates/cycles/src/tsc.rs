@@ -1,4 +1,37 @@
-//! Serialized time-stamp-counter reads.
+//! Time-stamp-counter reads: serialized brackets for measurement, and
+//! one unfenced read for stamps.
+
+/// Nanoseconds since the first call: the "TSC" on targets without one,
+/// so cycle figures there mean nanoseconds.
+#[cfg(not(target_arch = "x86_64"))]
+fn fallback_ns() -> u64 {
+    use std::sync::OnceLock;
+    use std::time::Instant;
+    static START: OnceLock<Instant> = OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// Read the TSC once, unfenced: the cheapest clock read there is (tens
+/// of cycles, against about 50 ns for `Instant::now`), for stamps that
+/// only need to order and time events microseconds apart. The read may
+/// drift a few instructions either way, so bracket a measured region
+/// with [`rdtsc_serialized`] instead. Stamps taken on different cores
+/// compare on hosts with an invariant, synchronized TSC; subtract them
+/// saturating. On non-x86 targets this is the same monotonic nanosecond
+/// clock as [`rdtsc_serialized`].
+#[inline(always)]
+pub fn now() -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: RDTSC is available on every x86-64 CPU and has no
+    // memory-safety effects.
+    unsafe {
+        core::arch::x86_64::_rdtsc()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        fallback_ns()
+    }
+}
 
 /// Read the TSC with serialization against earlier and later instructions
 /// (`LFENCE; RDTSC; LFENCE`), so the measured region cannot leak out of
@@ -17,10 +50,7 @@ pub fn rdtsc_serialized() -> u64 {
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        use std::sync::OnceLock;
-        use std::time::Instant;
-        static START: OnceLock<Instant> = OnceLock::new();
-        START.get_or_init(Instant::now).elapsed().as_nanos() as u64
+        fallback_ns()
     }
 }
 

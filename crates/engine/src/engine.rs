@@ -4,13 +4,13 @@
 //! ## Architecture
 //!
 //! ```text
-//!                      ┌────────────┐   Arc<[K]> batches
+//!                      ┌────────────┐   Arc<[K]> batches, TSC-stamped
 //!   feeders ──────────▶│ per-worker │──▶ worker 0 ─┐
-//!   (Ingress handles)  │  bounded   │──▶ worker 1 ─┤ lookup_batch against
-//!                      │   queues   │──▶   ...     ─┤ an RCU FibSnapshot,
+//!   (Ingress handles)  │  lock-free │──▶ worker 1 ─┤ lookup_batch against
+//!                      │ MPSC rings │──▶   ...     ─┤ an RCU FibSnapshot,
 //!                      └────────────┘──▶ worker N ─┘ re-acquired per batch
 //!
-//!   route sources ────▶ bounded control channel ──▶ single writer thread
+//!   route sources ────▶ control ring (same type) ──▶ single writer thread
 //!   (Control handles)      (RouteUpdate<K>)         coalesce → update_batch
 //!                                                   → one publish per batch
 //! ```
@@ -24,10 +24,15 @@
 //! the same prefixes), applies the burst under one writer critical
 //! section, and publishes exactly one snapshot per burst.
 //!
-//! Every queue is bounded; every producer edge is non-blocking and sheds
-//! load with drop accounting rather than propagating backpressure into
-//! the caller's thread. Workers are panic-isolated: a panicking batch
-//! body is caught, counted, and the worker loop re-enters on the same OS
+//! Every queue is a bounded lock-free ring (`queue.rs`); every producer
+//! edge is non-blocking and sheds load with drop accounting rather than
+//! propagating backpressure into the caller's thread. A feeder stamps a
+//! batch with one unfenced TSC read and claims a slot with one CAS; the
+//! worker polls only its next slot, for up to 200 µs before it parks, so
+//! a loaded worker is never woken per batch. The worker reads the TSC
+//! twice per batch: at pop (end of the queue wait, start of service) and
+//! after the lookup. Workers are panic-isolated: a panicking batch body
+//! is caught, counted, and the worker loop re-enters on the same OS
 //! thread.
 //!
 //! Every worker reads the one `SharedFib` handed to [`Engine::start`],
@@ -46,6 +51,7 @@ use poptrie_bitops::Bits;
 use poptrie_rib::{NextHop, Prefix, NO_ROUTE};
 use poptrie_vrf::VrfTable;
 
+use poptrie_cycles::tsc;
 use poptrie_telemetry::Log2Histogram;
 
 #[cfg(not(feature = "observe"))]
@@ -72,7 +78,7 @@ mod no_recorder {
 }
 
 use crate::affinity;
-use crate::queue::{Bounded, PushError, NO_SOURCE};
+use crate::queue::{self, Consumer, PushError, Ring, NO_SOURCE};
 use crate::stats::EngineTelemetry;
 
 /// Observer of every served batch: `(worker, keys, next_hops,
@@ -84,19 +90,19 @@ pub type BatchHook<K> = Arc<dyn Fn(usize, &[K], &[NextHop], u64) + Send + Sync>;
 /// on the writer thread.
 pub type PublishHook<K> = Arc<dyn Fn(BatchOutcome, &[RouteUpdate<K>]) + Send + Sync>;
 
-/// One queued batch: its ingress timestamp (for queue-wait latency and
-/// the deadline policy), the VRF it targets (`None` = the engine's own
-/// FIB), and the keys.
-type Stamped<K> = (Instant, Option<VrfId>, Arc<[K]>);
+/// One queued batch: its ingress TSC stamp ([`tsc::now`], for queue-wait
+/// latency and the deadline policy), the VRF it targets (`None` = the
+/// engine's own FIB), and the keys.
+type Stamped<K> = (u64, Option<VrfId>, Arc<[K]>);
 
-/// One queued route update: its [`Control::send`] timestamp (for the
+/// One queued route update: its [`Control::send`] TSC stamp (for the
 /// convergence-lag histogram), the convergence span it belongs to (0 =
 /// none; see [`Control::send_spanned`]), the VRF it targets (`None` =
 /// the engine's own FIB), and the update itself. The span word rides
 /// along unconditionally — it is 8 bytes per queued event and never
 /// touched on the hot path — so the control-plane API is identical with
 /// and without the `observe` feature.
-type StampedUpdate<K> = (Instant, u64, Option<VrfId>, RouteUpdate<K>);
+type StampedUpdate<K> = (u64, u64, Option<VrfId>, RouteUpdate<K>);
 
 /// An out-of-range worker or source index handed to one of the engine's
 /// indexed accessors ([`Engine::ingress_for`], [`Engine::inject_panic`]).
@@ -122,9 +128,10 @@ fn known_vrf<K: Bits>(vrfs: Option<&VrfTable<K>>, vrf: VrfId) -> bool {
     vrfs.is_some_and(|v| vrf.index() < v.len())
 }
 
-/// The per-worker batch queues, shared between the engine, its workers
-/// and every [`Ingress`] handle.
-type BatchQueues<K> = Arc<Vec<Arc<Bounded<Stamped<K>>>>>;
+/// The producer side of the per-worker batch rings, shared between the
+/// engine and every [`Ingress`] handle (each worker owns its ring's
+/// [`Consumer`]).
+type BatchQueues<K> = Arc<Vec<Arc<Ring<Stamped<K>>>>>;
 
 /// What happens when a batch cannot be served in time.
 ///
@@ -360,7 +367,7 @@ impl<K: Bits> Ingress<K> {
         batch: Arc<[K]>,
     ) -> Result<usize, Arc<[K]>> {
         let packets = batch.len() as u64;
-        let mut stamped = (Instant::now(), vrf, batch);
+        let mut stamped = (tsc::now(), vrf, batch);
         for w in order {
             let Some(queue) = self.queues.get(w) else {
                 break;
@@ -440,7 +447,7 @@ impl<K: Bits> Ingress<K> {
 /// Clonable control-plane handle: feeds route updates to the single
 /// writer thread. Obtained from [`Engine::control`].
 pub struct Control<K: Bits> {
-    queue: Arc<Bounded<StampedUpdate<K>>>,
+    queue: Arc<Ring<StampedUpdate<K>>>,
     stats: Arc<EngineTelemetry>,
     /// The engine's VRF registry, when one was attached — consulted to
     /// validate [`Control::send_vrf`] ids at the edge.
@@ -523,7 +530,7 @@ impl<K: Bits> Control<K> {
         vrf: Option<VrfId>,
         update: RouteUpdate<K>,
     ) -> Result<(), RouteUpdate<K>> {
-        match self.queue.try_push((Instant::now(), span, vrf, update)) {
+        match self.queue.try_push((tsc::now(), span, vrf, update)) {
             Ok(_) => Ok(()),
             Err(PushError::Full((_, _, _, u))) | Err(PushError::Closed((_, _, _, u))) => {
                 self.stats.control_dropped.inc();
@@ -780,7 +787,7 @@ pub fn source_quotas(capacity: usize, weights: &[u32]) -> Vec<usize> {
 pub struct Engine<K: Bits> {
     fib: Arc<SharedFib<K>>,
     queues: BatchQueues<K>,
-    control: Arc<Bounded<StampedUpdate<K>>>,
+    control: Arc<Ring<StampedUpdate<K>>>,
     stats: Arc<EngineTelemetry>,
     vrfs: Option<Arc<VrfTable<K>>>,
     panic_flags: Vec<Arc<AtomicBool>>,
@@ -817,27 +824,32 @@ impl<K: Bits> Engine<K> {
         let stats = Arc::new(EngineTelemetry::new(nworkers, &source_specs));
         stats.published_version.set(fib.version());
         let publish_base = fib.publish_stats();
-        let queues: BatchQueues<K> = Arc::new(
-            (0..nworkers)
-                .map(|_| Arc::new(Bounded::new(config.queue_capacity)))
-                .collect(),
-        );
-        let control: Arc<Bounded<StampedUpdate<K>>> =
-            Arc::new(Bounded::new(config.control_capacity));
+        // Stamps, waits, deadlines and idle budgets are all TSC cycles:
+        // calibrate here, never on a worker's first batch.
+        tsc::cycles_per_second();
+        let deadline = match config.qos {
+            QosPolicy::Refuse => None,
+            QosPolicy::Deadline(d) => Some(tsc::ns_to_cycles(
+                u64::try_from(d.as_nanos()).unwrap_or(u64::MAX),
+            )),
+        };
+        let (queues, consumers): (Vec<_>, Vec<_>) = (0..nworkers)
+            .map(|_| queue::ring(config.queue_capacity, quotas.len(), queue::WORKER_IDLE))
+            .unzip();
+        let queues: BatchQueues<K> = Arc::new(queues);
+        let (control, control_rx) = queue::ring(config.control_capacity, 0, queue::WRITER_IDLE);
 
         let mut panic_flags = Vec::with_capacity(nworkers);
         let mut workers = Vec::with_capacity(nworkers);
-        for idx in 0..nworkers {
+        for (idx, mut queue) in consumers.into_iter().enumerate() {
             let flag = Arc::new(AtomicBool::new(false));
             panic_flags.push(Arc::clone(&flag));
             let fib = Arc::clone(&fib);
-            let queue = Arc::clone(&queues[idx]);
             let stats = Arc::clone(&stats);
             let vrfs = config.vrfs.clone();
             let hook = config.on_batch.clone();
             let delay = config.batch_delay;
             let pin = config.pin_workers;
-            let qos = config.qos;
             let recorder = config.recorder.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("fwd-worker-{idx}"))
@@ -850,11 +862,11 @@ impl<K: Bits> Engine<K> {
                         idx,
                         &fib,
                         vrfs.as_deref(),
-                        &queue,
+                        &mut queue,
                         &stats,
                         &flag,
                         delay,
-                        qos,
+                        deadline,
                         hook.as_ref(),
                         tracer.as_ref(),
                     );
@@ -865,7 +877,7 @@ impl<K: Bits> Engine<K> {
 
         let writer = {
             let fib = Arc::clone(&fib);
-            let queue = Arc::clone(&control);
+            let mut queue = control_rx;
             let stats = Arc::clone(&stats);
             let vrfs = config.vrfs.clone();
             let hook = config.on_publish.clone();
@@ -878,7 +890,7 @@ impl<K: Bits> Engine<K> {
                     writer_main(
                         &fib,
                         vrfs.as_deref(),
-                        &queue,
+                        &mut queue,
                         &stats,
                         window,
                         hook.as_ref(),
@@ -1100,21 +1112,27 @@ impl<K: Bits> Drop for Engine<K> {
 /// One worker's panic-isolation loop: the batch-serving body runs under
 /// `catch_unwind`; a panic is counted and the body re-entered on the same
 /// OS thread, so a poisoned batch costs that batch and nothing else.
+///
+/// Each batch costs two clock reads: one at pop ends the queue wait and
+/// starts service, one after the lookup ends service. `deadline` is the
+/// [`QosPolicy::Deadline`] in TSC cycles.
 #[allow(clippy::too_many_arguments)]
 fn worker_main<K: Bits>(
     idx: usize,
     fib: &SharedFib<K>,
     vrfs: Option<&VrfTable<K>>,
-    queue: &Bounded<Stamped<K>>,
+    queue: &mut Consumer<Stamped<K>>,
     stats: &EngineTelemetry,
     inject: &AtomicBool,
     delay: Duration,
-    qos: QosPolicy,
+    deadline: Option<u64>,
     hook: Option<&BatchHook<K>>,
     tracer: Option<&RingWriter>,
 ) {
     #[cfg(not(feature = "observe"))]
     let _ = tracer;
+    let ns = tsc::cycles_to_ns;
+    let w = stats.worker(idx);
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut out: Vec<NextHop> = Vec::new();
@@ -1123,11 +1141,13 @@ fn worker_main<K: Bits>(
             // the closing event of a convergence span.
             #[cfg(feature = "observe")]
             let mut last_version: u64 = 0;
-            while let Some((source, (enqueued, vrf, batch), depth)) = queue.pop_entry() {
-                let w = stats.worker(idx);
+            while let Some((source, (enqueued, vrf, batch), depth)) =
+                queue.pop_entry(Some(&w.parks))
+            {
+                let popped = tsc::now();
                 w.queue_depth.set(depth as u64);
-                let wait = enqueued.elapsed();
-                w.queue_wait_ns.record(wait.as_nanos() as u64);
+                let wait = popped.saturating_sub(enqueued);
+                w.queue_wait_ns.record(ns(wait));
                 // The per-batch sampling gate: decide once at dequeue so
                 // a sampled batch carries its whole ingress → dequeue →
                 // lookup slice coherently.
@@ -1136,21 +1156,23 @@ fn worker_main<K: Bits>(
                 // Deadline check at pop, *before* the chaos delay: the
                 // drop decision reflects only real queueing, so tests
                 // with a deterministic batch_delay get exact counts.
-                if let QosPolicy::Deadline(deadline) = qos {
-                    if wait > deadline {
-                        w.deadline_dropped_batches.inc();
-                        w.deadline_dropped_packets.add(batch.len() as u64);
-                        if source != NO_SOURCE {
-                            stats.sources()[source as usize]
-                                .deadline_dropped_batches
-                                .inc();
-                        }
-                        continue;
+                if deadline.is_some_and(|d| wait > d) {
+                    w.deadline_dropped_batches.inc();
+                    w.deadline_dropped_packets.add(batch.len() as u64);
+                    if source != NO_SOURCE {
+                        stats.sources()[source as usize]
+                            .deadline_dropped_batches
+                            .inc();
                     }
+                    continue;
                 }
-                if !delay.is_zero() {
+                // Service starts at pop, or after the chaos delay.
+                let started = if delay.is_zero() {
+                    popped
+                } else {
                     std::thread::sleep(delay);
-                }
+                    tsc::now()
+                };
                 if inject.swap(false, Ordering::Relaxed) {
                     panic!("injected worker fault");
                 }
@@ -1163,7 +1185,6 @@ fn worker_main<K: Bits>(
                 // fed around the validating edge — shed the batch with
                 // the drop counted rather than serving from the wrong
                 // table.
-                let served_at = Instant::now();
                 let snap = match vrf {
                     None => fib.snapshot(),
                     Some(id) => match vrfs.and_then(|v| v.snapshot(id)) {
@@ -1182,8 +1203,8 @@ fn worker_main<K: Bits>(
                 out.clear();
                 out.resize(batch.len(), NO_ROUTE);
                 snap.lookup_batch(&batch, &mut out);
-                let service = served_at.elapsed();
-                w.service_ns.record(service.as_nanos() as u64);
+                let ended = tsc::now();
+                w.service_ns.record(ns(ended.saturating_sub(started)));
                 w.packets.add(batch.len() as u64);
                 w.batches.inc();
                 w.snapshot_version.set(snap.version());
@@ -1195,12 +1216,14 @@ fn worker_main<K: Bits>(
                         poptrie_bitops::BatchBackend::Avx512 => 2,
                     };
                     if sampled {
-                        let enq_ns = t.instant_ns(enqueued);
-                        let start_ns = t.instant_ns(served_at);
-                        let wait_ns = wait.as_nanos() as u64;
-                        let service_ns = service.as_nanos() as u64;
+                        // The stamps are cycles: place them on the
+                        // recorder's clock by their distance from now.
+                        let now_ns = t.now_ns();
+                        let at = |c: u64| now_ns.saturating_sub(ns(ended.saturating_sub(c)));
+                        let (enq_ns, start_ns, end_ns) = (at(enqueued), at(started), now_ns);
+                        let wait_ns = ns(wait);
                         t.record_at(enq_ns, EventKind::IngressEnqueue, 0, batch.len() as u64, 0);
-                        t.record_at(enq_ns + wait_ns, EventKind::BatchDequeue, 0, wait_ns, 0);
+                        t.record_at(at(popped), EventKind::BatchDequeue, 0, wait_ns, 0);
                         t.record_at(
                             start_ns,
                             EventKind::LookupStart,
@@ -1209,10 +1232,10 @@ fn worker_main<K: Bits>(
                             pack_worker_tier(idx as u32, tier),
                         );
                         t.record_at(
-                            start_ns + service_ns,
+                            end_ns,
                             EventKind::LookupEnd,
                             0,
-                            service_ns,
+                            end_ns - start_ns,
                             pack_worker_tier(idx as u32, tier),
                         );
                     }
@@ -1235,7 +1258,7 @@ fn worker_main<K: Bits>(
         }));
         match run {
             Ok(()) => break, // queue closed and drained
-            Err(_) => stats.worker(idx).respawns.inc(),
+            Err(_) => w.respawns.inc(),
         }
     }
 }
@@ -1253,7 +1276,7 @@ fn worker_main<K: Bits>(
 fn writer_main<K: Bits>(
     fib: &SharedFib<K>,
     vrfs: Option<&VrfTable<K>>,
-    queue: &Bounded<StampedUpdate<K>>,
+    queue: &mut Consumer<StampedUpdate<K>>,
     stats: &EngineTelemetry,
     window: usize,
     hook: Option<&PublishHook<K>>,
@@ -1267,7 +1290,7 @@ fn writer_main<K: Bits>(
             let mut coalesced: Vec<RouteUpdate<K>> = Vec::with_capacity(window);
             let mut vrf_bound: Vec<(VrfId, RouteUpdate<K>)> = Vec::new();
             let mut seen: HashSet<(Option<VrfId>, Prefix<K>)> = HashSet::with_capacity(window);
-            while queue.pop_up_to(window, &mut buf) {
+            while queue.pop_up_to(window, &mut buf, None) {
                 coalesced.clear();
                 vrf_bound.clear();
                 seen.clear();
@@ -1332,10 +1355,10 @@ fn writer_main<K: Bits>(
                 // every drained event has converged (coalesced-away
                 // events too — their information was superseded within
                 // the same burst).
+                let now = tsc::now();
                 for (sent, _, _, _) in &buf {
-                    stats
-                        .convergence_ns
-                        .record(sent.elapsed().as_nanos() as u64);
+                    let lag = now.saturating_sub(*sent);
+                    stats.convergence_ns.record(tsc::cycles_to_ns(lag));
                 }
                 stats.update_events.add(buf.len() as u64);
                 stats.updates_coalesced.add(merged as u64);

@@ -1,279 +1,446 @@
-//! A bounded multi-producer single-consumer queue with blocking pop.
+//! A bounded, lock-free multi-producer single-consumer ring.
 //!
 //! The engine's two queue roles share one primitive: per-worker packet
-//! batch queues (feeders `try_push`, one worker blocks on `pop`) and the
+//! batch rings (feeders `try_push`, one worker pops) and the
 //! control-plane channel (route sources `try_push`, the single writer
-//! drains with [`Bounded::pop_up_to`]). Producers never block — a full
-//! queue is **backpressure**, surfaced to the caller as
+//! drains with [`Consumer::pop_up_to`]). Producers never block — a full
+//! ring is **backpressure**, surfaced to the caller as
 //! [`PushError::Full`] so it can count the drop and move on; a software
 //! dataplane that blocked its feeder on a slow worker would turn one
 //! overloaded core into head-of-line blocking for every core.
 //!
-//! `Mutex` + `Condvar` rather than a lock-free ring: the consumer must
-//! *block* when idle (burning a core spinning on an empty queue is
-//! unacceptable for a control-plane writer that is idle most of the
-//! time), and under load the queue is never empty so the mutex is
-//! uncontended for exactly the batches that matter.
+//! **The ring.** Every slot carries a sequence number (Vyukov's bounded
+//! queue): `2·pos` while the slot is free for position `pos`, `2·pos + 1`
+//! once it holds that position's item. (Doubling keeps the two states
+//! apart for a capacity of 1.) A producer claims a position with one CAS
+//! on the tail, writes the slot and release-stores its sequence. The
+//! consumer owns the head: it takes an item when its head slot's sequence
+//! says so and hands the slot to the next lap with one more store. Per
+//! batch, the only line that crosses cores is the slot itself; the
+//! consumer never reads the tail or a lock while items flow. Positions
+//! never wrap: 2⁶² pushes at one per nanosecond take 146 years.
 //!
-//! Consumers **spin briefly before parking**. A consumer that parks on
-//! the condvar between every item makes every producer push pay a futex
-//! wake, and on a machine with more threads than cores the woken
-//! consumer routinely *preempts the producer that woke it* — the
-//! producer ends up running in sub-millisecond slivers and the whole
-//! pipeline degrades to one core's throughput no matter how many
-//! consumers exist. Spinning a few microseconds first keeps consumers
-//! runnable across the inter-arrival gap under sustained load, so the
-//! steady state is wake-free; an idle consumer still parks after the
-//! spin budget and costs nothing. Producers skip the notify entirely
-//! when no consumer is parked (`parked` is maintained under the mutex,
-//! so a parked consumer is never missed).
+//! **Quotas.** Each registered source has an atomic occupancy counter,
+//! sized when the ring is made. A push from a source first takes one of
+//! its slots by CAS (refused at the quota) and the consumer gives it
+//! back when it pops the item, so a heavy source exhausts its own share
+//! while lighter sources still get in.
+//!
+//! **Idle policy.** A consumer that finds its head slot empty polls that
+//! one slot for a fixed idle budget measured on the TSC
+//! ([`WORKER_IDLE`] for forwarding workers, [`WRITER_IDLE`] for the
+//! writer), yielding its time slice every [`YIELD_EVERY`] so an
+//! oversubscribed host still runs the producers. Only then does it look
+//! at the tail (for a close) and park on a condvar. A worker whose
+//! inter-arrival gap fits in the budget is never parked, so no batch
+//! pays a futex wake or a halted-vCPU wake-up; an idle engine still
+//! parks and costs nothing.
+//!
+//! **Parking.** The `parked` flag and the head slot's sequence form a
+//! Dekker pair: the consumer sets `parked`, issues a `SeqCst` fence and
+//! rechecks its slot; a producer publishes its slot, issues a `SeqCst`
+//! fence and reads `parked`. One of the two sees the other's store, so
+//! a producer pays the wake (lock plus `notify_one`) only when the
+//! consumer really parked, and a wake-up is never lost.
+//!
+//! **Close.** The close flag is the tail's low bit. Once set, every
+//! claim is refused, so the tail freezes at exactly the positions
+//! handed out before the close. The consumer drains up to that frozen
+//! tail before it reports end-of-stream: a push that races
+//! [`Ring::close`] is either refused (and the caller counts it) or
+//! delivered, never lost.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
-/// Spin rounds a consumer burns through before parking on the condvar.
-/// Early rounds are pure `spin_loop` hints (sub-microsecond); later
-/// rounds yield the time slice so an oversubscribed machine can run the
-/// producer this consumer is waiting on.
-const SPIN_ROUNDS: u32 = 8;
+use poptrie_cycles::tsc;
+use poptrie_telemetry::{CachePadded, Counter};
 
-/// One backoff step of the spin phase (see [`SPIN_ROUNDS`]).
-fn backoff(round: u32) {
-    if round < 5 {
-        for _ in 0..(8u32 << round) {
-            std::hint::spin_loop();
-        }
-    } else {
-        std::thread::yield_now();
-    }
-}
+/// How long an idle forwarding worker polls its head slot before it
+/// parks. Longer than the inter-arrival gap of a loaded worker (tens of
+/// microseconds), so a worker under load never parks; short enough that
+/// an idle one gives its core back within a fraction of a millisecond.
+pub const WORKER_IDLE: Duration = Duration::from_micros(200);
 
-/// Why a [`Bounded::try_push`] was refused. The item is handed back so
-/// the producer can retarget it (e.g. try the next worker's queue).
+/// How long the idle control-plane writer polls before it parks. It
+/// shares a core with the load generator on a small host, so a long spin
+/// would steal the generator's time.
+pub const WRITER_IDLE: Duration = Duration::from_micros(6);
+
+/// An idle consumer yields its time slice this often while it polls.
+const YIELD_EVERY: Duration = Duration::from_micros(5);
+
+/// The tail's low bit: set once by [`Ring::close`].
+const CLOSED: usize = 1;
+
+/// Why a [`Ring::try_push`] was refused. The item is handed back so the
+/// producer can retarget it (e.g. try the next worker's ring).
 #[derive(Debug)]
 pub enum PushError<T> {
-    /// The queue is at capacity (or the pushing source exhausted its
-    /// slot quota); shedding load is the caller's decision.
+    /// The ring is at capacity (or the pushing source exhausted its slot
+    /// quota); shedding load is the caller's decision.
     Full(T),
-    /// The queue was closed by [`Bounded::close`]; no more items will
-    /// ever be accepted.
+    /// The ring was closed by [`Ring::close`]; no more items will ever
+    /// be accepted.
     Closed(T),
 }
 
-/// Source tag for items pushed without a source
-/// ([`Bounded::try_push`]): exempt from quota accounting.
+/// Source tag for items pushed without a source ([`Ring::try_push`]):
+/// exempt from quota accounting.
 pub const NO_SOURCE: u32 = u32::MAX;
 
-struct Inner<T> {
-    items: VecDeque<(u32, T)>,
-    closed: bool,
-    /// Items currently queued per source index (quota enforcement for
-    /// [`Bounded::try_push_from`]); `NO_SOURCE` items are not tracked.
-    occupancy: Vec<u64>,
+/// One ring slot on its own cache line, so a producer filling one slot
+/// never invalidates the slot the consumer is reading.
+#[repr(align(64))]
+struct Slot<T> {
+    /// `2·pos` while free for position `pos`, `2·pos + 1` once it holds
+    /// that position's item.
+    seq: AtomicUsize,
+    entry: UnsafeCell<MaybeUninit<(u32, T)>>,
 }
 
-/// The bounded MPSC queue. See the module docs for the blocking model.
-pub struct Bounded<T> {
-    inner: Mutex<Inner<T>>,
-    notify: Condvar,
-    capacity: usize,
-    /// Consumers currently parked on `notify`. Incremented under the
-    /// mutex before waiting, so a producer that pushed under the same
-    /// mutex and then reads 0 here is guaranteed no consumer is (or can
-    /// end up) parked without first re-checking the queue.
-    parked: AtomicUsize,
+/// The producer side of the ring, shared by every producer and by
+/// observers ([`Ring::len`]). Made with its one [`Consumer`] by [`ring`].
+pub struct Ring<T> {
+    /// Next position to claim, shifted left one bit; the low bit is
+    /// [`CLOSED`]. Written only by producers and `close`.
+    tail: CachePadded<AtomicUsize>,
+    /// The consumer's next position, published for [`Ring::len`] only.
+    head: CachePadded<AtomicUsize>,
+    /// Set by a consumer about to park (see the module docs).
+    parked: CachePadded<AtomicBool>,
+    /// Slots held per registered source.
+    occupancy: Box<[CachePadded<AtomicUsize>]>,
+    slots: Box<[Slot<T>]>,
+    /// Guards only the park/wake hand-off, never an item.
+    lock: Mutex<()>,
+    wake: Condvar,
 }
 
-impl<T> core::fmt::Debug for Bounded<T> {
+// SAFETY: every field but the slot entries is already `Sync` (atomics,
+// a `Mutex<()>`, a `Condvar`). A slot entry is written only by the one
+// producer whose tail CAS claimed its position and read or dropped only
+// by the one consumer (or by `Drop`, with `&mut self`), and the slot's
+// sequence orders the two: Release on every store that hands the slot
+// over, Acquire on every load that takes it. Items move between threads
+// and are never shared, so `T: Send` is all a shared ring needs.
+unsafe impl<T: Send> Sync for Ring<T> {}
+
+impl<T> core::fmt::Debug for Ring<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Bounded")
-            .field("capacity", &self.capacity)
+        f.debug_struct("Ring")
+            .field("capacity", &self.slots.len())
             .field("len", &self.len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
-impl<T> Bounded<T> {
-    /// A queue admitting at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        Bounded {
-            inner: Mutex::new(Inner {
-                items: VecDeque::new(),
-                closed: false,
-                occupancy: Vec::new(),
-            }),
-            notify: Condvar::new(),
-            capacity: capacity.max(1),
-            parked: AtomicUsize::new(0),
-        }
+/// A ring of `capacity` slots (minimum 1) with quota counters for
+/// `sources` registered sources, and its single consumer, which polls
+/// for `idle` before it parks.
+pub fn ring<T>(capacity: usize, sources: usize, idle: Duration) -> (Arc<Ring<T>>, Consumer<T>) {
+    let cycles = |d: Duration| tsc::ns_to_cycles(d.as_nanos() as u64);
+    let ring = Arc::new(Ring {
+        tail: CachePadded(AtomicUsize::new(0)),
+        head: CachePadded(AtomicUsize::new(0)),
+        parked: CachePadded(AtomicBool::new(false)),
+        occupancy: (0..sources)
+            .map(|_| CachePadded(AtomicUsize::new(0)))
+            .collect(),
+        slots: (0..capacity.max(1))
+            .map(|pos| Slot {
+                seq: AtomicUsize::new(2 * pos),
+                entry: UnsafeCell::new(MaybeUninit::uninit()),
+            })
+            .collect(),
+        lock: Mutex::new(()),
+        wake: Condvar::new(),
+    });
+    let consumer = Consumer {
+        ring: Arc::clone(&ring),
+        head: 0,
+        seen: 0,
+        budget: cycles(idle),
+        yield_every: cycles(YIELD_EVERY),
+    };
+    (ring, consumer)
+}
+
+impl<T> Ring<T> {
+    fn slot(&self, pos: usize) -> &Slot<T> {
+        &self.slots[pos % self.slots.len()]
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Park on the condvar, keeping the `parked` census exact. Called
-    /// with the queue known empty and open, under the lock.
-    fn park<'a>(&self, g: MutexGuard<'a, Inner<T>>) -> MutexGuard<'a, Inner<T>> {
-        self.parked.fetch_add(1, Ordering::Relaxed);
-        let g = match self.notify.wait(g) {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        self.parked.fetch_sub(1, Ordering::Relaxed);
-        g
-    }
-
-    /// Non-blocking push with no source tag and no quota: only the total
+    /// Non-blocking push with no source tag and no quota: only the
     /// capacity bounds admission. On failure hands the item back.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         self.try_push_from(NO_SOURCE, usize::MAX, item)
     }
 
     /// Non-blocking push attributed to `source`, which may hold at most
-    /// `quota` slots of this queue at once — the QoS weighted-share
-    /// mechanism: a heavy source exhausts its own slots and is refused
-    /// [`PushError::Full`] while lighter sources still get in. Quota is
-    /// the *caller's* per-source slot budget (derived from its weight);
-    /// the queue just enforces whatever budget each push presents.
-    /// `NO_SOURCE` pushes bypass quota accounting entirely.
+    /// `quota` slots of this ring at once — the QoS weighted-share
+    /// mechanism. Quota is the *caller's* per-source slot budget (derived
+    /// from its weight); the ring just enforces whatever budget each
+    /// push presents. `NO_SOURCE` pushes bypass quota accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `source` is neither `NO_SOURCE` nor below the
+    /// `sources` count the ring was made with.
     pub fn try_push_from(&self, source: u32, quota: usize, item: T) -> Result<(), PushError<T>> {
-        let mut g = self.lock();
-        if g.closed {
-            return Err(PushError::Closed(item));
-        }
-        if g.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        if source != NO_SOURCE {
-            let s = source as usize;
-            if g.occupancy.len() <= s {
-                g.occupancy.resize(s + 1, 0);
+        let occupancy = (source != NO_SOURCE).then(|| &self.occupancy[source as usize].0);
+        if let Some(held) = occupancy {
+            let took = held.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < quota).then_some(n + 1)
+            });
+            if took.is_err() {
+                return Err(if self.is_closed() {
+                    PushError::Closed(item)
+                } else {
+                    PushError::Full(item)
+                });
             }
-            if g.occupancy[s] >= quota as u64 {
-                return Err(PushError::Full(item));
-            }
-            g.occupancy[s] += 1;
         }
-        g.items.push_back((source, item));
-        drop(g);
-        // Wake-free fast path: a spinning (or busy) consumer re-checks
-        // the queue itself; only a consumer that actually parked needs
-        // the futex wake.
-        if self.parked.load(Ordering::Relaxed) > 0 {
-            self.notify.notify_one();
+        let refuse = |err: fn(T) -> PushError<T>, item| {
+            if let Some(held) = occupancy {
+                held.fetch_sub(1, Ordering::Relaxed);
+            }
+            Err(err(item))
+        };
+        let mut tail = self.tail.0.load(Ordering::Relaxed);
+        let pos = loop {
+            if tail & CLOSED != 0 {
+                return refuse(PushError::Closed, item);
+            }
+            let pos = tail >> 1;
+            let seq = self.slot(pos).seq.load(Ordering::Acquire);
+            if seq == 2 * pos {
+                // Relaxed: the claim publishes no data; the slot's
+                // sequence store below does.
+                match self.tail.0.compare_exchange_weak(
+                    tail,
+                    tail + 2,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => break pos,
+                    Err(now) => tail = now,
+                }
+            } else if seq < 2 * pos {
+                // The slot still holds the item from one lap back.
+                return refuse(PushError::Full, item);
+            } else {
+                // Another producer claimed `pos` first.
+                tail = self.tail.0.load(Ordering::Relaxed);
+            }
+        };
+        let slot = self.slot(pos);
+        // SAFETY: the CAS gave this producer position `pos` alone, and
+        // the Acquire load of `seq == 2·pos` ordered the consumer's read
+        // of the slot's previous item before this write. Nobody reads
+        // the slot until the Release store below.
+        unsafe { (*slot.entry.get()).write((source, item)) };
+        slot.seq.store(2 * pos + 1, Ordering::Release);
+        // Dekker with `Consumer::park`: publish, fence, then look for a
+        // parked consumer.
+        fence(Ordering::SeqCst);
+        if self.parked.0.load(Ordering::Relaxed) {
+            let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.wake.notify_one();
         }
         Ok(())
     }
 
-    /// Pop the head under the lock, releasing its source's quota slot.
-    fn take(g: &mut Inner<T>) -> Option<(u32, T)> {
-        let (source, item) = g.items.pop_front()?;
+    fn is_closed(&self) -> bool {
+        self.tail.0.load(Ordering::Acquire) & CLOSED != 0
+    }
+
+    /// Close the ring: producers are refused from now on; the consumer
+    /// drains every item already claimed and then observes
+    /// end-of-stream.
+    pub fn close(&self) {
+        self.tail.0.fetch_or(CLOSED, Ordering::AcqRel);
+        // Under the lock, so a consumer between its recheck and its
+        // wait cannot miss the wake.
+        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.wake.notify_all();
+    }
+
+    /// Momentary depth: positions claimed and not yet popped.
+    pub fn len(&self) -> usize {
+        let tail = self.tail.0.load(Ordering::Acquire) >> 1;
+        tail.saturating_sub(self.head.0.load(Ordering::Acquire))
+    }
+
+    /// Whether the ring is momentarily empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<T> Drop for Ring<T> {
+    fn drop(&mut self) {
+        let head = *self.head.0.get_mut();
+        let tail = *self.tail.0.get_mut() >> 1;
+        let cap = self.slots.len();
+        for pos in head..tail {
+            let slot = &mut self.slots[pos % cap];
+            if *slot.seq.get_mut() == 2 * pos + 1 {
+                // SAFETY: the sequence says the slot holds position
+                // `pos`'s item, which the consumer never took; `&mut
+                // self` rules out any concurrent access.
+                unsafe { slot.entry.get_mut().assume_init_drop() };
+            }
+        }
+    }
+}
+
+/// The ring's one consumer. Not `Clone`: owning it is what makes the
+/// consumer single.
+pub struct Consumer<T> {
+    ring: Arc<Ring<T>>,
+    /// Next position to pop (mirrored to `Ring::head` for observers).
+    head: usize,
+    /// First position not yet seen published, at or past `head`: the
+    /// depth scan resumes here, so it reads each slot once.
+    seen: usize,
+    /// Idle budget and yield interval, in TSC cycles.
+    budget: u64,
+    yield_every: u64,
+}
+
+impl<T> core::fmt::Debug for Consumer<T> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Consumer")
+            .field("head", &self.head)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T> Consumer<T> {
+    fn published(&self, pos: usize) -> bool {
+        self.ring.slot(pos).seq.load(Ordering::Acquire) == 2 * pos + 1
+    }
+
+    /// Take the head item; the caller saw it published.
+    fn take(&mut self) -> (u32, T) {
+        let pos = self.head;
+        let slot = self.ring.slot(pos);
+        // SAFETY: the Acquire load of `seq == 2·pos + 1` in `published`
+        // ordered the producer's write of this item before this read,
+        // and only this consumer (owned, not `Clone`) reads position
+        // `pos`. The store below hands the slot to the next lap, so the
+        // item is read exactly once.
+        let (source, item) = unsafe { (*slot.entry.get()).assume_init_read() };
+        slot.seq
+            .store(2 * (pos + self.ring.slots.len()), Ordering::Release);
+        self.head = pos + 1;
+        self.ring.head.0.store(self.head, Ordering::Release);
         if source != NO_SOURCE {
-            let s = source as usize;
-            g.occupancy[s] = g.occupancy[s].saturating_sub(1);
+            self.ring.occupancy[source as usize]
+                .0
+                .fetch_sub(1, Ordering::Relaxed);
         }
-        Some((source, item))
+        (source, item)
     }
 
-    /// Blocking pop: waits for an item or for [`Bounded::close`].
-    /// Returns `None` only when the queue is closed *and* fully drained —
-    /// the shutdown path never loses queued work. Spins briefly before
-    /// parking (see the module docs).
-    #[cfg_attr(not(test), allow(dead_code))] // engine paths use pop_entry/pop_up_to
-    pub fn pop(&self) -> Option<T> {
-        self.pop_entry().map(|(_, item, _)| item)
+    /// Items published behind the head.
+    fn depth(&mut self) -> usize {
+        self.seen = self.seen.max(self.head);
+        while self.published(self.seen) {
+            self.seen += 1;
+        }
+        self.seen - self.head
     }
 
-    /// Blocking pop that also returns the item's source tag
-    /// (`NO_SOURCE` for untagged pushes) — the worker uses it to
-    /// attribute deadline drops and deliveries per source — and the
-    /// number of items left queued behind it, read under the same lock
-    /// (the worker's queue-depth gauge).
-    pub fn pop_entry(&self) -> Option<(u32, T, usize)> {
-        for round in 0..SPIN_ROUNDS {
-            {
-                let mut g = self.lock();
-                if let Some((source, item)) = Self::take(&mut g) {
-                    return Some((source, item, g.items.len()));
-                }
-                if g.closed {
-                    return None;
-                }
-            }
-            backoff(round);
-        }
-        let mut g = self.lock();
+    /// Wait until the head slot holds an item (`true`) or the ring is
+    /// closed and drained (`false`): poll the head slot for the idle
+    /// budget, yielding every [`YIELD_EVERY`], then park. Each park is
+    /// counted in `parks`.
+    fn wait(&mut self, parks: Option<&Counter>) -> bool {
         loop {
-            if let Some((source, item)) = Self::take(&mut g) {
-                return Some((source, item, g.items.len()));
+            if self.published(self.head) {
+                return true;
             }
-            if g.closed {
-                return None;
+            let start = tsc::now();
+            let mut next_yield = start + self.yield_every;
+            loop {
+                std::hint::spin_loop();
+                if self.published(self.head) {
+                    return true;
+                }
+                let now = tsc::now();
+                if now.wrapping_sub(start) >= self.budget {
+                    break;
+                }
+                if now >= next_yield {
+                    std::thread::yield_now();
+                    next_yield = now + self.yield_every;
+                }
             }
-            g = self.park(g);
+            // The budget is spent: only now read the producers' line.
+            let tail = self.ring.tail.0.load(Ordering::Acquire);
+            if tail & CLOSED == 0 {
+                self.park(parks);
+            } else if tail >> 1 == self.head {
+                return false;
+            }
+            // Closed with a claimed item still being written: poll on.
         }
+    }
+
+    /// Park until a producer or `close` wakes this consumer, unless the
+    /// recheck after setting `parked` finds an item or a close.
+    fn park(&self, parks: Option<&Counter>) {
+        let ring = &*self.ring;
+        let guard = ring.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        ring.parked.0.store(true, Ordering::Relaxed);
+        // Dekker with `Ring::try_push_from`: flag, fence, recheck.
+        fence(Ordering::SeqCst);
+        if !self.published(self.head) && ring.tail.0.load(Ordering::Relaxed) & CLOSED == 0 {
+            if let Some(parks) = parks {
+                parks.inc();
+            }
+            // A spurious wake-up just sends the caller back to polling.
+            drop(ring.wake.wait(guard));
+        }
+        ring.parked.0.store(false, Ordering::Relaxed);
+    }
+
+    /// Blocking pop: waits for an item or for [`Ring::close`]. Returns
+    /// `None` only when the ring is closed *and* drained.
+    #[cfg(test)]
+    pub fn pop(&mut self) -> Option<T> {
+        self.pop_entry(None).map(|(_, item, _)| item)
+    }
+
+    /// Blocking pop that also returns the item's source tag (`NO_SOURCE`
+    /// for untagged pushes) — the worker attributes deadline drops and
+    /// deliveries per source — and the number of items published behind
+    /// it (the worker's queue-depth gauge). Parks are counted in `parks`.
+    pub fn pop_entry(&mut self, parks: Option<&Counter>) -> Option<(u32, T, usize)> {
+        if !self.wait(parks) {
+            return None;
+        }
+        let (source, item) = self.take();
+        Some((source, item, self.depth()))
     }
 
     /// Blocking bulk pop: waits until at least one item is available,
     /// then moves up to `max` items into `buf`. Returns `false` only when
     /// closed and drained. This is the control-plane writer's entry
-    /// point — draining a burst in one call is what makes per-batch
-    /// coalescing and one-publish-per-batch possible. Spins briefly
-    /// before parking (see the module docs).
-    pub fn pop_up_to(&self, max: usize, buf: &mut Vec<T>) -> bool {
-        fn drain<T>(g: &mut Inner<T>, max: usize, buf: &mut Vec<T>) {
-            while buf.len() < max {
-                match Bounded::take(g) {
-                    Some((_, item)) => buf.push(item),
-                    None => break,
-                }
-            }
+    /// point — draining a burst in one call is what makes per-burst
+    /// coalescing and one publish per burst possible.
+    pub fn pop_up_to(&mut self, max: usize, buf: &mut Vec<T>, parks: Option<&Counter>) -> bool {
+        if !self.wait(parks) {
+            return false;
         }
-        for round in 0..SPIN_ROUNDS {
-            {
-                let mut g = self.lock();
-                if !g.items.is_empty() {
-                    drain(&mut g, max, buf);
-                    return true;
-                }
-                if g.closed {
-                    return false;
-                }
-            }
-            backoff(round);
+        while buf.len() < max && self.published(self.head) {
+            buf.push(self.take().1);
         }
-        let mut g = self.lock();
-        loop {
-            if !g.items.is_empty() {
-                drain(&mut g, max, buf);
-                return true;
-            }
-            if g.closed {
-                return false;
-            }
-            g = self.park(g);
-        }
-    }
-
-    /// Close the queue: producers are refused from now on, consumers
-    /// drain what is queued and then observe end-of-stream.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.notify.notify_all();
-    }
-
-    /// Momentary queue depth.
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// Whether the queue is momentarily empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        true
     }
 }

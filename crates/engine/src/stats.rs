@@ -21,6 +21,11 @@ pub struct WorkerStats {
     pub queue_depth: Gauge,
     /// Times the worker body panicked and was respawned in place.
     pub respawns: Counter,
+    /// Times the worker parked after polling its empty queue for the
+    /// whole idle budget (200 µs). Rising with the batch count means the
+    /// gap between batches outlasts the budget, so batches pay a
+    /// wake-up.
+    pub parks: Counter,
     /// Version of the FIB snapshot this worker most recently served a
     /// batch against. Compared with
     /// [`EngineTelemetry::published_version`], this is the worker's
@@ -30,8 +35,9 @@ pub struct WorkerStats {
     /// up (includes deadline-dropped batches — their wait is exactly why
     /// they were dropped).
     pub queue_wait_ns: Log2Histogram,
-    /// Nanoseconds of lookup service time per served batch (snapshot
-    /// acquire + `lookup_batch`, excluding the chaos delay).
+    /// Nanoseconds of service time per served batch: from pop (or the
+    /// end of the chaos delay) through snapshot acquire and
+    /// `lookup_batch`.
     pub service_ns: Log2Histogram,
     /// Batches dropped at pop because their queue wait exceeded the
     /// deadline ([`QosPolicy::Deadline`](crate::QosPolicy::Deadline)).
@@ -249,6 +255,12 @@ impl EngineTelemetry {
                 "Worker panics recovered by in-place respawn.",
                 labels,
                 w.respawns.get(),
+            );
+            reg.counter(
+                "poptrie_engine_worker_parks_total",
+                "Times the worker parked after polling its empty queue for the idle budget.",
+                labels,
+                w.parks.get(),
             );
             reg.gauge(
                 "poptrie_engine_worker_snapshot_version",

@@ -5,7 +5,7 @@ use std::time::Duration;
 use poptrie::prelude::*;
 use poptrie::{SourceId, VrfId};
 
-use crate::queue::{Bounded, PushError};
+use crate::queue::{ring, PushError, Ring, WORKER_IDLE};
 use crate::{Engine, EngineConfig, QosPolicy, VrfTable};
 
 fn p4(s: &str) -> Prefix<u32> {
@@ -29,42 +29,45 @@ fn shared(routes: &[(&str, u16)]) -> Arc<SharedFib<u32>> {
 
 mod queue {
     use super::*;
+    use poptrie_rng::prelude::*;
+    use poptrie_telemetry::Counter;
+    use std::time::Instant;
+
+    /// A short idle budget, so a consumer parks soon after it runs dry.
+    const IDLE: Duration = Duration::from_micros(20);
 
     #[test]
     fn bounded_push_pop_fifo() {
-        let q: Bounded<u32> = Bounded::new(3);
+        let (q, mut rx) = ring::<u32>(3, 0, IDLE);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.try_push(3).unwrap();
         assert!(matches!(q.try_push(4), Err(PushError::Full(4))));
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(rx.pop(), Some(1));
         q.try_push(4).unwrap();
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(4));
+        assert_eq!(rx.pop(), Some(2));
+        assert_eq!(rx.pop(), Some(3));
+        assert_eq!(rx.pop(), Some(4));
         assert!(q.is_empty());
     }
 
     #[test]
     fn close_refuses_producers_but_drains_consumers() {
-        let q: Bounded<u32> = Bounded::new(8);
+        let (q, mut rx) = ring::<u32>(8, 0, IDLE);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.close();
         assert!(matches!(q.try_push(3), Err(PushError::Closed(3))));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
+        assert_eq!(rx.pop(), Some(1));
+        assert_eq!(rx.pop(), Some(2));
+        assert_eq!(rx.pop(), None);
     }
 
     #[test]
     fn close_wakes_blocked_consumer() {
-        let q: Arc<Bounded<u32>> = Arc::new(Bounded::new(8));
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        };
+        let (q, mut rx) = ring::<u32>(8, 0, IDLE);
+        let consumer = std::thread::spawn(move || rx.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
@@ -72,9 +75,9 @@ mod queue {
 
     #[test]
     fn per_source_quota_is_enforced_and_released() {
-        let q: Bounded<u32> = Bounded::new(8);
+        let (q, mut rx) = ring::<u32>(8, 2, IDLE);
         // Source 0 has a 2-slot quota: the third push is refused even
-        // though the queue itself has room.
+        // though the ring itself has room.
         assert!(q.try_push_from(0, 2, 10).is_ok());
         assert!(q.try_push_from(0, 2, 11).is_ok());
         assert!(matches!(
@@ -85,24 +88,24 @@ mod queue {
         assert!(q.try_push_from(1, 2, 20).is_ok());
         assert!(q.try_push(30).is_ok());
         // Popping a source-0 item releases its slot.
-        assert_eq!(q.pop_entry(), Some((0, 10, 3)));
+        assert_eq!(rx.pop_entry(None), Some((0, 10, 3)));
         assert!(q.try_push_from(0, 2, 12).is_ok());
         // FIFO order is preserved across sources.
-        assert_eq!(q.pop_entry(), Some((0, 11, 3)));
-        assert_eq!(q.pop_entry(), Some((1, 20, 2)));
-        assert_eq!(q.pop(), Some(30));
-        assert_eq!(q.pop(), Some(12));
+        assert_eq!(rx.pop_entry(None), Some((0, 11, 3)));
+        assert_eq!(rx.pop_entry(None), Some((1, 20, 2)));
+        assert_eq!(rx.pop(), Some(30));
+        assert_eq!(rx.pop(), Some(12));
     }
 
     #[test]
     fn pop_entry_reports_the_depth_left_behind() {
         for k in 1..=6usize {
-            let q: Bounded<usize> = Bounded::new(8);
+            let (q, mut rx) = ring::<usize>(8, 0, IDLE);
             for i in 0..k {
                 q.try_push(i).unwrap();
             }
             for j in 1..=k {
-                let (_, item, depth) = q.pop_entry().unwrap();
+                let (_, item, depth) = rx.pop_entry(None).unwrap();
                 assert_eq!((item, depth), (j - 1, k - j), "k={k} j={j}");
             }
         }
@@ -110,7 +113,7 @@ mod queue {
 
     #[test]
     fn total_capacity_still_bounds_quota_pushes() {
-        let q: Bounded<u32> = Bounded::new(2);
+        let (q, _rx) = ring::<u32>(2, 3, IDLE);
         assert!(q.try_push_from(0, 10, 1).is_ok());
         assert!(q.try_push_from(1, 10, 2).is_ok());
         // Quotas allow more, capacity does not.
@@ -119,19 +122,168 @@ mod queue {
 
     #[test]
     fn pop_up_to_respects_window() {
-        let q: Bounded<u32> = Bounded::new(8);
+        let (q, mut rx) = ring::<u32>(8, 0, IDLE);
         for i in 0..5 {
             q.try_push(i).unwrap();
         }
         let mut buf = Vec::new();
-        assert!(q.pop_up_to(3, &mut buf));
+        assert!(rx.pop_up_to(3, &mut buf, None));
         assert_eq!(buf, vec![0, 1, 2]);
         buf.clear();
-        assert!(q.pop_up_to(3, &mut buf));
+        assert!(rx.pop_up_to(3, &mut buf, None));
         assert_eq!(buf, vec![3, 4]);
         q.close();
         buf.clear();
-        assert!(!q.pop_up_to(3, &mut buf));
+        assert!(!rx.pop_up_to(3, &mut buf, None));
+    }
+
+    /// Push `item` until it is taken or the ring closes; `true` when
+    /// taken.
+    fn push_until_taken<T>(q: &Ring<T>, mut item: T) -> bool {
+        loop {
+            match q.try_push(item) {
+                Ok(()) => return true,
+                Err(PushError::Full(back)) => {
+                    item = back;
+                    std::thread::yield_now();
+                }
+                Err(PushError::Closed(_)) => return false,
+            }
+        }
+    }
+
+    #[test]
+    fn ring_is_exactly_once_and_fifo_per_producer() {
+        const PRODUCERS: usize = 4;
+        const ITEMS: usize = 100_000;
+        let (q, mut rx) = ring::<(usize, usize)>(8, 0, WORKER_IDLE);
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    for i in 0..ITEMS {
+                        assert!(push_until_taken(&q, (p, i)));
+                    }
+                })
+            })
+            .collect();
+        let mut next = [0usize; PRODUCERS];
+        for _ in 0..PRODUCERS * ITEMS {
+            let (p, i) = rx.pop().expect("open ring");
+            assert_eq!(i, next[p], "producer {p} out of order or duplicated");
+            next[p] += 1;
+        }
+        for h in producers {
+            h.join().unwrap();
+        }
+        assert_eq!(next, [ITEMS; PRODUCERS]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn push_racing_close_is_delivered_or_refused() {
+        poptrie_rng::check(
+            "push_racing_close_is_delivered_or_refused",
+            200,
+            |rng| {
+                (
+                    rng.gen_range(1..=16usize),
+                    rng.gen_range(1..=3usize),
+                    rng.gen_range(1..=400usize),
+                    rng.gen_range(0..20_000u32),
+                )
+            },
+            |(capacity, producers, items, close_after)| {
+                let (q, mut rx) = ring::<(usize, usize)>(capacity, 0, IDLE);
+                let consumer = std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(item) = rx.pop() {
+                        got.push(item);
+                    }
+                    got
+                });
+                let handles: Vec<_> = (0..producers)
+                    .map(|p| {
+                        let q = Arc::clone(&q);
+                        std::thread::spawn(move || {
+                            let taken: Vec<_> = (0..items)
+                                .filter(|&i| push_until_taken(&q, (p, i)))
+                                .collect();
+                            (p, taken)
+                        })
+                    })
+                    .collect();
+                for _ in 0..close_after {
+                    std::hint::spin_loop();
+                }
+                q.close();
+                let mut accepted: Vec<(usize, usize)> = Vec::new();
+                for h in handles {
+                    let (p, taken) = h.join().unwrap();
+                    accepted.extend(taken.into_iter().map(|i| (p, i)));
+                }
+                let mut delivered = consumer.join().unwrap();
+                let refused = producers * items - accepted.len();
+                assert_eq!(delivered.len() + refused, producers * items);
+                delivered.sort_unstable();
+                accepted.sort_unstable();
+                assert_eq!(delivered, accepted, "every accepted push is delivered once");
+            },
+        );
+    }
+
+    #[test]
+    fn no_lost_wakeup_after_park() {
+        let (q, mut rx) = ring::<u64>(4, 0, IDLE);
+        let parks = Arc::new(Counter::new());
+        // The last item popped; the main thread spins on it rather than
+        // parking, so each round times the consumer's wake-up alone.
+        let popped = Arc::new(AtomicU64::new(u64::MAX));
+        let consumer = {
+            let (parks, popped) = (Arc::clone(&parks), Arc::clone(&popped));
+            std::thread::spawn(move || {
+                while let Some((_, item, _)) = rx.pop_entry(Some(&parks)) {
+                    popped.store(item, Ordering::Release);
+                }
+            })
+        };
+        // Yield while spinning: on a small host the consumer may share
+        // this thread's core.
+        let spin_until = |done: &dyn Fn() -> bool, limit: Duration| {
+            let until = Instant::now() + limit;
+            while !done() && Instant::now() < until {
+                std::thread::yield_now();
+            }
+            done()
+        };
+        let mut rng = StdRng::seed_from_u64(7);
+        for round in 0..2_000u64 {
+            if round % 2 == 0 {
+                // Push the moment the consumer counts its park, before
+                // or after it reaches the wait.
+                let before = parks.get();
+                spin_until(&|| parks.get() > before, Duration::from_secs(1));
+            } else {
+                // Push somewhere in the idle budget or just past it.
+                let past = IDLE * rng.gen_range(0..=2u32) / 2;
+                spin_until(&|| false, past);
+            }
+            q.try_push(round).unwrap();
+            assert!(
+                spin_until(
+                    &|| popped.load(Ordering::Acquire) == round,
+                    Duration::from_secs(1)
+                ),
+                "round {round}: item not popped within 1 s"
+            );
+        }
+        q.close();
+        consumer.join().unwrap();
+        assert!(
+            parks.get() >= 1000,
+            "the consumer parked {} times",
+            parks.get()
+        );
     }
 }
 
@@ -176,6 +328,41 @@ mod engine {
         for (_, out) in served.iter() {
             assert_eq!(out, &vec![1, 2, NO_ROUTE]);
         }
+    }
+
+    #[test]
+    fn idle_worker_parks_and_the_next_batch_wakes_it() {
+        let fib = shared(&[("10.0.0.0/8", 1)]);
+        let engine = Engine::start(Arc::clone(&fib), EngineConfig::new(1).pin_workers(false));
+        let telemetry = engine.telemetry();
+        let waited = |done: &dyn Fn() -> bool, limit: Duration| {
+            let until = std::time::Instant::now() + limit;
+            while !done() && std::time::Instant::now() < until {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            done()
+        };
+        assert!(
+            waited(
+                &|| telemetry.worker(0).parks.get() >= 1,
+                Duration::from_millis(20)
+            ),
+            "an idle worker parks within 20 ms"
+        );
+        let prom = telemetry.registry().render_prometheus();
+        assert!(
+            prom.contains("poptrie_engine_worker_parks_total{worker=\"0\"}"),
+            "{prom}"
+        );
+        let batch: Arc<[u32]> = Arc::from(vec![0x0A00_0001u32, 0x0B00_0001]);
+        engine.ingress().try_submit(batch).unwrap();
+        assert!(
+            waited(&|| telemetry.total_packets() == 2, Duration::from_secs(1)),
+            "the parked worker was not woken by the submit"
+        );
+        let report = engine.shutdown(Duration::from_secs(10));
+        assert_eq!(report.packets, 2);
+        assert!(report.drained_clean);
     }
 
     #[test]

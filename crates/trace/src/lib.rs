@@ -145,12 +145,6 @@ impl Recorder {
         self.shared.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Convert an [`Instant`] captured elsewhere (an ingress stamp, a
-    /// control-send stamp) to recorder-epoch nanoseconds.
-    pub fn instant_ns(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.shared.epoch).as_nanos() as u64
-    }
-
     /// Allocate a fresh convergence span ID (monotonic from 1; 0 means
     /// "no span" everywhere).
     pub fn next_span(&self) -> u64 {
@@ -255,7 +249,8 @@ impl RingWriter {
 
     /// Record an event with an explicit recorder-epoch timestamp (for
     /// events whose true time was captured earlier, like ingress
-    /// stamps; see [`Recorder::instant_ns`]).
+    /// stamps, placed on this clock by their distance from
+    /// [`RingWriter::now_ns`]).
     pub fn record_at(&self, ts_ns: u64, kind: EventKind, span: u64, arg: u64, aux: u32) {
         self.ring.push(TraceEvent::new(ts_ns, kind, span, arg, aux));
     }
@@ -264,12 +259,6 @@ impl RingWriter {
     /// [`Recorder::now_ns`]).
     pub fn now_ns(&self) -> u64 {
         self.shared.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Convert an [`Instant`] to recorder-epoch nanoseconds (same
-    /// conversion as [`Recorder::instant_ns`]).
-    pub fn instant_ns(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.shared.epoch).as_nanos() as u64
     }
 }
 

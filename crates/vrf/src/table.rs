@@ -1,5 +1,6 @@
 //! The [`VrfId`]-indexed registry of per-tenant FIBs.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use poptrie::config::PoptrieConfig;
@@ -65,6 +66,10 @@ impl VrfMemory {
 /// would do it) and is deliberately left out until a caller needs it.
 pub struct VrfTable<K: Bits> {
     tables: std::sync::RwLock<Vec<Arc<SharedFib<K>>>>,
+    /// `tables.len()`, stored with Release after each push under the
+    /// write lock, so [`VrfTable::len`] takes no lock. The registry only
+    /// grows, so every id below a loaded length resolves.
+    len: AtomicUsize,
     config: PoptrieConfig,
     store: LeafStore,
 }
@@ -88,6 +93,7 @@ impl<K: Bits> VrfTable<K> {
     pub fn shared(config: PoptrieConfig, slots: u32) -> Self {
         VrfTable {
             tables: std::sync::RwLock::new(Vec::new()),
+            len: AtomicUsize::new(0),
             config,
             store: LeafStore::new(slots),
         }
@@ -99,14 +105,15 @@ impl<K: Bits> VrfTable<K> {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Registered tables.
+    /// Registered tables, read without the registry lock: the
+    /// engine's submit path validates every VRF id against it.
     pub fn len(&self) -> usize {
-        self.read().len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// Whether no table has been created yet.
     pub fn is_empty(&self) -> bool {
-        self.read().is_empty()
+        self.len() == 0
     }
 
     /// Create an empty table; returns its [`VrfId`].
@@ -126,6 +133,7 @@ impl<K: Bits> VrfTable<K> {
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         tables.push(Arc::new(fib));
+        self.len.store(tables.len(), Ordering::Release);
         VrfId::new((tables.len() - 1) as u32)
     }
 

@@ -233,3 +233,51 @@ fn tenant_round_trips_through_bytes() {
         assert_eq!(loaded.ranges(), snap.ranges());
     }
 }
+
+#[test]
+fn len_is_lock_free_monotone_and_every_id_below_it_resolves() {
+    const TABLES: usize = 64;
+    let vrfs = std::sync::Arc::new(VrfTable::<u32>::shared(cfg(), 1 << 12));
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let vrfs = std::sync::Arc::clone(&vrfs);
+            let done = std::sync::Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut last = 0;
+                let mut seen = 0u64;
+                loop {
+                    let finished = done.load(std::sync::atomic::Ordering::Acquire);
+                    let len = vrfs.len();
+                    assert!(len >= last, "len went from {last} to {len}");
+                    last = len;
+                    if len > 0 {
+                        // The newest id is the one a racing create just
+                        // published.
+                        let id = VrfId::new((len - 1) as u32);
+                        assert!(vrfs.get(id).is_some(), "id {} below len {len}", len - 1);
+                        assert!(vrfs.snapshot(id).is_some());
+                        seen += 1;
+                    }
+                    if finished {
+                        return (last, seen);
+                    }
+                }
+            })
+        })
+        .collect();
+    for i in 0..TABLES {
+        let mut rib = RadixTree::new();
+        rib.insert(p4("10.0.0.0/8"), (i % 7 + 1) as u16);
+        vrfs.create_from(rib);
+    }
+    done.store(true, std::sync::atomic::Ordering::Release);
+    for r in readers {
+        let (last, seen) = r.join().unwrap();
+        assert_eq!(last, TABLES);
+        assert!(seen > 0);
+    }
+    for i in 0..TABLES {
+        assert!(vrfs.get(VrfId::new(i as u32)).is_some());
+    }
+}
