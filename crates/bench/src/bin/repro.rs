@@ -3176,7 +3176,8 @@ fn telemetry_stats(ctx: &mut Ctx, unified: bool) {
     drop(parked);
 
     // Reconcile every scripted total against the counters.
-    let snap = telemetry::snapshot().attach_structure(&*shared.snapshot());
+    // The node allocator's gauges live on the writer's trie.
+    let snap = shared.with_fib(|f| telemetry::snapshot().attach_structure(f.poptrie()));
     let mut failures = 0u32;
     let mut check = |label: &str, got: u64, want: u64| {
         let ok = got == want;

@@ -37,7 +37,9 @@
 //! through [`Fib`](crate::Fib). Deserialized tries
 //! ([`PoptrieImpl::from_bytes`](crate::Poptrie::from_bytes)) use a single
 //! opaque covering allocation and are validated with
-//! [`PoptrieImpl::check_invariants`] instead.
+//! [`PoptrieImpl::check_invariants`] instead. A published snapshot's trie
+//! holds no node allocator: audit its table through the writer's trie
+//! ([`SharedFib::with_fib`](crate::sync::SharedFib::with_fib)).
 
 use poptrie_bitops::Bits;
 use poptrie_buddy::Buddy;

@@ -15,7 +15,9 @@
 use core::ops::Range;
 
 use poptrie_bitops::Bits;
+use poptrie_buddy::Buddy;
 
+use crate::leaf_store::Epoch;
 use crate::node::NodeRepr;
 use crate::trie::PoptrieImpl;
 
@@ -163,14 +165,33 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         self.dirty.clear();
     }
 
-    /// Bring `self`, a copy of `src` that lacks the lines marked in
+    /// A snapshot of `src`, a writer's trie, pinned on `epoch`: its arrays
+    /// and scalar fields, and no node allocator or write marks (only the
+    /// writer reads those).
+    pub(crate) fn published_copy(&self, epoch: &Epoch) -> Self {
+        PoptrieImpl {
+            direct: self.direct.clone(),
+            nodes: self.nodes.clone(),
+            store: self.store.pinned(epoch),
+            node_buddy: Buddy::new(),
+            root: self.root,
+            inode_count: self.inode_count,
+            leaf_count: self.leaf_count,
+            s: self.s,
+            backend: self.backend,
+            dirty: DirtyLines::default(),
+            _key: core::marker::PhantomData,
+        }
+    }
+
+    /// Bring `self`, a snapshot that lacks the lines of `src` marked in
     /// `stale`, up to date with `src`: copy those lines and the ones `src`
-    /// marked since, then every scalar field and the node allocator, and
-    /// re-pin `self`'s leaf store handle on the slab `src` reads. A
-    /// whole-structure mark or a length mismatch copies the arrays in
-    /// full, reusing `self`'s allocations. `self`'s own marks are left
-    /// alone: only a writer's trie reads them.
-    pub(crate) fn sync_from(&mut self, src: &Self, stale: &DirtyLines) -> Copied
+    /// marked since, then every scalar field, and re-pin `self`'s leaf
+    /// store handle on `epoch` and the slab `src` reads. A whole-structure
+    /// mark or a length mismatch copies the arrays in full, reusing
+    /// `self`'s allocations. The node allocator and `self`'s own marks are
+    /// left alone: only a writer's trie reads them.
+    pub(crate) fn sync_from(&mut self, src: &Self, stale: &DirtyLines, epoch: &Epoch) -> Copied
     where
         N: PartialEq,
     {
@@ -187,8 +208,7 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             copy_lines(&mut self.direct, &src.direct, &d.direct, &n.direct)
                 + copy_lines(&mut self.nodes, &src.nodes, &d.nodes, &n.nodes)
         };
-        self.store.sync_from(&src.store);
-        self.node_buddy.clone_from(&src.node_buddy);
+        self.store.sync_from(&src.store, epoch);
         self.root = src.root;
         self.inode_count = src.inode_count;
         self.leaf_count = src.leaf_count;
@@ -206,8 +226,8 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
     }
 
     /// Debug-build check behind every incremental publish: `self` equals
-    /// `src` byte for byte in every array and field a lookup or a later
-    /// update can read. A line written without a mark fails here.
+    /// `src` byte for byte in every array and field a lookup can read. A
+    /// line written without a mark fails here.
     #[cfg(debug_assertions)]
     fn assert_same(&self, src: &Self)
     where
@@ -229,10 +249,6 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
                  a write skipped its dirty mark"
             );
         }
-        assert!(
-            self.node_buddy == src.node_buddy,
-            "published node allocator differs from the writer's"
-        );
         assert_eq!(
             (self.root, self.inode_count, self.leaf_count, self.s),
             (src.root, src.inode_count, src.leaf_count, src.s)

@@ -16,9 +16,14 @@
 //! * **Reclamation.** An extent whose last reference goes is *retired*.
 //!   Its slots go back to the buddy only when no trie a reader can hold
 //!   may still resolve into it. Every such trie — a published snapshot, a
-//!   clone — *pins* the store epoch current when it was made; a writer's
-//!   own trie pins nothing. Retired extents are collected when an epoch
-//!   opens, which every publish does, and at once when no pin is alive.
+//!   clone — *pins* a store epoch no later than the one current when it
+//!   was made; a writer's own trie pins nothing. An extent retired at
+//!   epoch E is freed once every pin of epoch E or older has dropped. A
+//!   publish pins its snapshot on an [`Epoch`]: a standalone publish opens
+//!   one of its own, and a VRF writer burst opens one before its first
+//!   update and pins every tenant snapshot it publishes on it. Retired
+//!   extents are collected when an epoch closes, and at once when no pin
+//!   is alive.
 //! * **Growth.** When the buddy must grow, the store allocates a slab of
 //!   the new capacity, copies the old slots into it and swaps its slab
 //!   `Arc`. Every handle keeps reading the slab it holds. A writer picks
@@ -255,8 +260,8 @@ impl Ledger {
         self.by_digest.values().chain(self.collided.values())
     }
 
-    /// Open the next epoch, pin it, and collect.
-    fn pin(&mut self) -> Arc<Pin> {
+    /// Open the next epoch and pin it.
+    fn open(&mut self) -> Arc<Pin> {
         self.epoch += 1;
         let pin = Arc::new(Pin);
         self.pins.push_back((self.epoch, Arc::downgrade(&pin)));
@@ -264,7 +269,6 @@ impl Ledger {
             self.pins.retain(|(_, p)| p.strong_count() > 0);
             self.prune_at = 2 * self.pins.len().max(32);
         }
-        self.collect();
         pin
     }
 
@@ -356,6 +360,32 @@ fn lock(ledger: &Mutex<Ledger>) -> MutexGuard<'_, Ledger> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// An open epoch of a [`LeafStore`] ([`LeafStore::open_epoch`]): the pin
+/// that the snapshots of one publish, or of one writer burst of tenant
+/// publishes, share. Dropping it collects.
+pub struct Epoch {
+    /// `None` only while dropping.
+    pin: Option<Arc<Pin>>,
+    ledger: Arc<Mutex<Ledger>>,
+}
+
+impl core::fmt::Debug for Epoch {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Epoch").finish_non_exhaustive()
+    }
+}
+
+impl Drop for Epoch {
+    fn drop(&mut self) {
+        self.pin = None;
+        // A collect that panicked during an unwind would abort the
+        // process; the next epoch to close collects instead.
+        if !std::thread::panicking() {
+            lock(&self.ledger).collect();
+        }
+    }
+}
+
 /// One trie's handle on a leaf store: the slab it reads, the store's
 /// writer side, and the trie's pin (see the [module docs](self)).
 ///
@@ -384,7 +414,7 @@ impl Clone for LeafStore {
             ledger: Arc::clone(&self.ledger),
             pin: Some(match &self.pin {
                 Some(pin) => Arc::clone(pin),
-                None => lock(&self.ledger).pin(),
+                None => lock(&self.ledger).open(),
             }),
         }
     }
@@ -464,14 +494,41 @@ impl LeafStore {
         lock(&self.ledger).release(off, len)
     }
 
+    /// Open the next epoch of this store and pin it. Every snapshot a
+    /// publish makes with it shares its pin (see
+    /// [`SharedFib::update_batch_in`](crate::sync::SharedFib::update_batch_in)).
+    /// Dropping it releases its own pin and collects every retired extent
+    /// no live pin can see.
+    pub fn open_epoch(&self) -> Epoch {
+        Epoch {
+            pin: Some(lock(&self.ledger).open()),
+            ledger: Arc::clone(&self.ledger),
+        }
+    }
+
+    /// Whether `epoch` is an epoch of this store.
+    pub(crate) fn owns(&self, epoch: &Epoch) -> bool {
+        Arc::ptr_eq(&self.ledger, &epoch.ledger)
+    }
+
+    /// A handle reading what `self` reads, pinned on `epoch`: a published
+    /// snapshot's.
+    pub(crate) fn pinned(&self, epoch: &Epoch) -> Self {
+        debug_assert!(self.owns(epoch));
+        LeafStore {
+            slab: Arc::clone(&self.slab),
+            ledger: Arc::clone(&self.ledger),
+            pin: epoch.pin.clone(),
+        }
+    }
+
     /// Make `self`, a snapshot's handle on `src`'s store, read what `src`
-    /// reads, and re-pin it: release the old pin, then open and pin a new
-    /// epoch (which collects what the old pin held).
-    pub(crate) fn sync_from(&mut self, src: &LeafStore) {
-        debug_assert!(Arc::ptr_eq(&self.ledger, &src.ledger));
-        self.pin = None;
+    /// reads, and pin it on `epoch` in place of its old pin. Nothing is
+    /// collected until `epoch` closes.
+    pub(crate) fn sync_from(&mut self, src: &LeafStore, epoch: &Epoch) {
+        debug_assert!(Arc::ptr_eq(&self.ledger, &src.ledger) && self.owns(epoch));
         self.slab.clone_from(&src.slab);
-        self.pin = Some(lock(&self.ledger).pin());
+        self.pin.clone_from(&epoch.pin);
     }
 
     /// Read slot `i` (bounds-checked).

@@ -24,23 +24,35 @@
 //! * The writer's trie marks each 64-byte line of its `direct` and
 //!   `nodes` arrays that an update writes. Leaves live in the trie's
 //!   [leaf store](crate::leaf_store), which every snapshot shares.
+//! * A snapshot holds only what lookups read: the `direct` and `nodes`
+//!   arrays, the scalar fields and a pinned leaf store handle. The node
+//!   allocator and the write marks stay with the writer's trie.
 //! * A publish takes the *spare*, the snapshot the previous publish
 //!   retired, and copies into it the lines written since its version
-//!   (the previous burst's and this one's), the scalar fields and the
-//!   node allocator. Then it swaps the spare in. On a REAL-Tier1-A-shaped
-//!   table a 255-update BGP burst writes a few hundred lines, so a
-//!   publish copies tens of kilobytes in about 16 µs, where a whole-trie
-//!   clone took about 1 ms.
-//! * **Retirement rule.** Every snapshot's trie pins the leaf-store epoch
-//!   it can see. After the swap the writer always keeps the retired
+//!   (the previous burst's and this one's) and the scalar fields. Then it
+//!   swaps the spare in. On a REAL-Tier1-A-shaped table a 255-update BGP
+//!   burst writes a few hundred lines, so a publish copies tens of
+//!   kilobytes in about 16 µs, where a whole-trie clone took about 1 ms.
+//! * **Retirement rule.** Every snapshot's trie pins a leaf-store
+//!   [`Epoch`]. After the swap the writer always keeps the retired
 //!   snapshot as the next spare. The next publish first asks whether it
 //!   holds the only reference to the spare ([`Arc::get_mut`]). If it
-//!   does, it releases the spare's pin, and only then opens the new
-//!   epoch, which collects every extent no live pin can see. If a worker
-//!   still holds the spare (one that took its snapshot just before the
-//!   swap), the writer lets go of it, and the worker's release ends the
-//!   pin.
-//! * A publish whose spare is missing or still held clones the whole
+//!   does, it moves the spare's pin onto the publish's epoch, and when
+//!   that epoch closes after the swap, the store collects every extent no
+//!   live pin can see, what the spare's old pin held included. If a
+//!   worker still holds the spare (one that took its snapshot just before
+//!   the swap), the writer lets go of it, and the worker's release ends
+//!   the pin.
+//! * **Epochs.** [`SharedFib::update_batch`] and the other single-table
+//!   updates open an epoch of their own once their updates are applied.
+//!   [`SharedFib::update_batch_in`] publishes on an epoch the caller
+//!   opened: a VRF writer burst opens one before its first update, then
+//!   publishes each tenant it touches once, every snapshot on that epoch,
+//!   so k tenants cost one epoch and one collection. The epoch must open
+//!   before the burst's first release. An extent a later tenant retires
+//!   is then retired at that epoch or later, so the pin of every snapshot
+//!   published earlier in the burst still holds it.
+//! * A publish whose spare is missing or still held copies the whole
 //!   trie, the cold path counted in [`PublishStats::full_copies`].
 //! * A snapshot a reader can reach is never written: the spare is only
 //!   ever written through `Arc::get_mut`.
@@ -66,7 +78,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use crate::config::PoptrieConfig;
 use crate::dirty::DirtyLines;
-use crate::leaf_store::LeafStore;
+use crate::leaf_store::{Epoch, LeafStore};
 use crate::trie::Poptrie;
 use crate::update::{Applied, Fib, UpdateError, UpdateStats};
 
@@ -286,8 +298,9 @@ impl<K: Bits> core::fmt::Debug for SharedFib<K> {
 impl<K: Bits> SharedFib<K> {
     /// Serve `fib` with its current state published as `version`.
     fn from_fib(mut fib: Fib<K>, version: u64) -> Self {
+        let trie = fib.poptrie();
         let current = RcuCell::new(FibSnapshot {
-            trie: fib.poptrie().clone(),
+            trie: trie.published_copy(&trie.leaf_store().open_epoch()),
             version,
         });
         let mut stale = DirtyLines::default();
@@ -429,17 +442,16 @@ impl<K: Bits> SharedFib<K> {
     }
 
     /// Publish the writer's current state as the next snapshot version,
-    /// by bringing the spare up to date or, when there is none or a
-    /// reader still holds it, by cloning the trie (see the
-    /// [module docs](self)). Either way the new snapshot pins a fresh
-    /// leaf-store epoch, opened after the spare's pin is released.
-    fn publish(&self, w: &mut Writer<K>) -> u64 {
+    /// pinned on `epoch`, by bringing the spare up to date or, when there
+    /// is none or a reader still holds it, by copying the trie (see the
+    /// [module docs](self)).
+    fn publish(&self, w: &mut Writer<K>, epoch: &Epoch) -> u64 {
         let version = self.version.load(Ordering::Relaxed) + 1;
         let src = w.fib.poptrie();
         let mut spare = w.spare.take();
         let (next, copied) = match spare.as_mut().and_then(Arc::get_mut) {
             Some(snap) => {
-                let copied = snap.trie.sync_from(src, &w.stale);
+                let copied = snap.trie.sync_from(src, &w.stale, epoch);
                 snap.version = version;
                 (spare.expect("just recycled"), copied)
             }
@@ -447,7 +459,7 @@ impl<K: Bits> SharedFib<K> {
                 // Dropping a spare a reader still holds leaves it, and its
                 // pin, to the last reader, as for any retired snapshot.
                 drop(spare);
-                let trie = src.clone();
+                let trie = src.published_copy(epoch);
                 let copied = crate::dirty::Copied {
                     bytes: trie.array_bytes(),
                     full: true,
@@ -470,6 +482,13 @@ impl<K: Bits> SharedFib<K> {
         version
     }
 
+    /// [`SharedFib::publish`] on an epoch of its own, which closes after
+    /// the swap.
+    fn publish_alone(&self, w: &mut Writer<K>) -> u64 {
+        let epoch = w.fib.poptrie().leaf_store().open_epoch();
+        self.publish(w, &epoch)
+    }
+
     /// Announce a route and publish the updated FIB.
     ///
     /// Returns what happened ([`Applied::Inserted`], [`Applied::Replaced`]
@@ -479,7 +498,7 @@ impl<K: Bits> SharedFib<K> {
     pub fn insert(&self, prefix: Prefix<K>, nh: NextHop) -> Result<Applied, UpdateError> {
         let mut w = self.writer();
         let applied = w.fib.insert(prefix, nh)?;
-        self.publish(&mut w);
+        self.publish_alone(&mut w);
         Ok(applied)
     }
 
@@ -490,7 +509,7 @@ impl<K: Bits> SharedFib<K> {
         let mut w = self.writer();
         let applied = w.fib.remove(prefix)?;
         if applied.changed() {
-            self.publish(&mut w);
+            self.publish_alone(&mut w);
         }
         Ok(applied)
     }
@@ -501,7 +520,39 @@ impl<K: Bits> SharedFib<K> {
     /// counted out of `applied` but do not abort the batch, matching how
     /// a BGP speaker treats malformed updates in a burst.
     pub fn update_batch(&self, updates: impl IntoIterator<Item = RouteUpdate<K>>) -> BatchOutcome {
+        self.update_batch_on(None, updates)
+    }
+
+    /// [`SharedFib::update_batch`], publishing on `epoch`, an epoch of
+    /// this table's leaf store that the caller opened before the batch
+    /// and closes after it. The snapshot shares the epoch's pin, and
+    /// nothing is collected until the epoch closes: a writer burst over
+    /// many tables of one store opens one epoch for all of them (see the
+    /// [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `epoch` belongs to another leaf store.
+    pub fn update_batch_in(
+        &self,
+        epoch: &Epoch,
+        updates: impl IntoIterator<Item = RouteUpdate<K>>,
+    ) -> BatchOutcome {
+        self.update_batch_on(Some(epoch), updates)
+    }
+
+    fn update_batch_on(
+        &self,
+        epoch: Option<&Epoch>,
+        updates: impl IntoIterator<Item = RouteUpdate<K>>,
+    ) -> BatchOutcome {
         let mut w = self.writer();
+        if let Some(epoch) = epoch {
+            assert!(
+                w.fib.poptrie().leaf_store().owns(epoch),
+                "an epoch of another leaf store"
+            );
+        }
         let mut events = 0usize;
         let mut applied = 0usize;
         for u in updates {
@@ -514,7 +565,10 @@ impl<K: Bits> SharedFib<K> {
                 applied += 1;
             }
         }
-        let version = self.publish(&mut w);
+        let version = match epoch {
+            Some(epoch) => self.publish(&mut w, epoch),
+            None => self.publish_alone(&mut w),
+        };
         BatchOutcome {
             events,
             applied,
@@ -534,7 +588,7 @@ impl<K: Bits> SharedFib<K> {
     ) -> poptrie_bitops::BatchBackend {
         let mut w = self.writer();
         let installed = w.fib.set_batch_backend(backend);
-        self.publish(&mut w);
+        self.publish_alone(&mut w);
         installed
     }
 

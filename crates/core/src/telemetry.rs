@@ -172,8 +172,9 @@ pub struct StructureGauges {
     pub leaf_store: Fragmentation,
 }
 
-/// Sample the structural gauges of `fib`. Cheap (no traversal): counts
-/// and buddy free-list summaries only.
+/// Sample the structural gauges of `fib`, a writer's trie (a published
+/// snapshot holds no node allocator). Cheap (no traversal): counts and
+/// buddy free-list summaries only.
 pub fn structure_gauges<K: Bits, N: NodeRepr>(fib: &PoptrieImpl<K, N>) -> StructureGauges {
     let st = fib.stats();
     StructureGauges {

@@ -1,4 +1,4 @@
-use crate::sync::{RouteUpdate, SharedFib};
+use crate::sync::{FibSnapshot, RouteUpdate, SharedFib};
 use crate::{Applied, Builder, Fib, LeafStore, Poptrie, PoptrieBasic, PoptrieConfig};
 use poptrie_rib::LinearLpm;
 use poptrie_rib::{Lpm, Prefix, RadixTree};
@@ -1099,6 +1099,31 @@ mod shared {
         let mut out = Vec::new();
         fib.lookup_batch(&keys, &mut out);
         assert_eq!(out, vec![Some(1), Some(2), None]);
+    }
+
+    /// Neither publish path copies the node allocator: the first
+    /// snapshot, a full copy, and the incremental publishes after it all
+    /// hold an empty one. The writer's trie keeps the real one, and its
+    /// audit still checks it.
+    #[test]
+    fn snapshots_hold_no_node_allocator() {
+        let fib: SharedFib<u32> = SharedFib::with_config(cfg(16));
+        let empty = |snap: &FibSnapshot<u32>| snap.node_buddy.capacity() == 0;
+        assert!(empty(&fib.snapshot()));
+        for i in 0..64u32 {
+            let held = fib.snapshot();
+            fib.insert(Prefix::new(0x0A00_0000 | (i << 8), 24), (i % 5 + 1) as u16)
+                .unwrap();
+            assert!(empty(&held) && empty(&fib.snapshot()), "publish {i}");
+            fib.update_batch(std::iter::empty());
+        }
+        let st = fib.publish_stats();
+        assert!(st.full_copies > 0 && st.incremental > 0, "{st:?}");
+        fib.with_fib(|f| {
+            assert!(f.poptrie().node_buddy.live_blocks() > 0);
+            f.poptrie().audit().unwrap();
+        });
+        assert_eq!(fib.lookup(0x0A00_2A01), Some(3));
     }
 }
 

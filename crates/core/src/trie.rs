@@ -6,6 +6,11 @@
 //! can hold pins the store epoch it can see, so the blocks it resolves
 //! into stay allocated while it lives: a [`Clone`] of a writer's trie
 //! pins a fresh epoch, and a clone of a pinned trie shares its pin.
+//!
+//! A published snapshot's trie holds only what lookups read: the arrays,
+//! the scalar fields and its leaf store handle. The node allocator stays
+//! with the writer's trie, which is the one [`PoptrieImpl::audit`]
+//! checks.
 
 use poptrie_bitops::{rank1, BatchBackend, Bits};
 use poptrie_buddy::Buddy;
@@ -52,7 +57,8 @@ pub struct PoptrieImpl<K: Bits, N: NodeRepr> {
     pub(crate) store: LeafStore,
     /// Buddy allocator for `nodes` index space (§3: "the contiguous arrays
     /// of internal and leaf nodes are managed by the buddy memory
-    /// allocator"; the leaf store runs the leaves' buddy).
+    /// allocator"; the leaf store runs the leaves' buddy). Writer-only
+    /// state: a published snapshot's trie holds an empty one.
     pub(crate) node_buddy: Buddy,
     /// Root node index, used when `s == 0`.
     pub(crate) root: u32,

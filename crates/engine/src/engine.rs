@@ -1265,8 +1265,10 @@ fn worker_main<K: Bits>(
 
 /// The single control-plane writer: drain a burst, coalesce duplicate
 /// prefixes (last update wins, order of survivors preserved), apply under
-/// one writer critical section, publish one snapshot. The
-/// [`BatchOutcome`] drives the stats and the publish hook.
+/// one writer critical section, publish one snapshot. VRF-bound survivors
+/// publish once per tenant they touch, all on one leaf-store epoch
+/// ([`VrfTable::update_burst`]). The engine FIB's [`BatchOutcome`] drives
+/// the stats and the publish hook.
 ///
 /// Like the workers, the writer is panic-isolated: a panicking burst
 /// (most plausibly a user publish hook) is caught and counted in
@@ -1318,30 +1320,14 @@ fn writer_main<K: Bits>(
                     t.record(EventKind::WriterBurst, 0, buf.len() as u64, merged as u32);
                 }
 
-                // VRF-bound survivors apply per tenant, in arrival
-                // order, each tenant under its own writer lock with its
-                // own snapshot publish — one tenant's burst never
-                // republishes another's table. `run` slices out
-                // consecutive same-VRF updates so an uninterleaved burst
-                // stays one publish.
-                let mut i = 0;
-                while i < vrf_bound.len() {
-                    let id = vrf_bound[i].0;
-                    let mut run = i + 1;
-                    while run < vrf_bound.len() && vrf_bound[run].0 == id {
-                        run += 1;
-                    }
-                    let slice = &vrf_bound[i..run];
-                    // The registry only grows and ids were validated at
-                    // the control edge, so this never misses; `if let`
-                    // keeps hostile-queue feeding shedding instead of
-                    // panicking the writer.
-                    if let Some(outcome) =
-                        vrfs.and_then(|v| v.update_batch(id, slice.iter().map(|&(_, u)| u)))
-                    {
-                        stats.vrf_updates.add(outcome.applied as u64);
-                    }
-                    i = run;
+                // VRF-bound survivors publish each tenant they touch
+                // once, all on one leaf-store epoch. Each tenant applies
+                // under its own writer lock, so one tenant's burst never
+                // republishes another's table. Ids were validated at the
+                // control edge; one the registry misses is shed, not a
+                // writer panic.
+                if let Some(v) = vrfs {
+                    stats.vrf_updates.add(v.update_burst(&mut vrf_bound) as u64);
                 }
 
                 // Engine-FIB survivors follow the original path; a burst

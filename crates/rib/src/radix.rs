@@ -127,26 +127,27 @@ impl<K: Bits, V> RadixTree<K, V> {
 
     /// Remove `prefix`, returning its value if present. Dead interior nodes
     /// are pruned so the "every node leads to a value" invariant holds.
+    /// Allocates nothing.
     pub fn remove(&mut self, prefix: Prefix<K>) -> Option<V> {
-        fn rec<V>(node: &mut Option<Box<Node<V>>>, bits: &[bool]) -> (Option<V>, bool) {
-            let Some(n) = node.as_deref_mut() else {
-                return (None, false);
-            };
-            let removed = match bits.split_first() {
-                None => n.value.take(),
-                Some((&bit, rest)) => {
-                    let (removed, _) = rec(&mut n.children[bit as usize], rest);
-                    removed
-                }
+        fn rec<K: Bits, V>(
+            node: &mut Option<Box<Node<V>>>,
+            prefix: Prefix<K>,
+            depth: u32,
+        ) -> Option<V> {
+            let n = node.as_deref_mut()?;
+            let removed = if depth == prefix.len() as u32 {
+                n.value.take()
+            } else {
+                let child = &mut n.children[prefix.bit(depth) as usize];
+                rec(child, prefix, depth + 1)
             };
             if n.is_dead() {
                 *node = None;
             }
-            (removed, node.is_none())
+            removed
         }
 
-        let bits: Vec<bool> = (0..prefix.len() as u32).map(|i| prefix.bit(i)).collect();
-        let (removed, _) = rec(&mut self.root, &bits);
+        let removed = rec(&mut self.root, prefix, 0);
         if removed.is_some() {
             self.len -= 1;
         }

@@ -1,13 +1,29 @@
 //! The [`VrfId`]-indexed registry of per-tenant FIBs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use poptrie::config::PoptrieConfig;
 use poptrie::sync::{BatchOutcome, FibSnapshot, RouteUpdate, SharedFib};
 use poptrie::{InternStats, LeafStore, VrfId};
 use poptrie_bitops::Bits;
 use poptrie_rib::{NextHop, RadixTree};
+
+/// Tenants in the registry's first segment; segment `s` holds
+/// `FIRST << s`.
+const FIRST: usize = 64;
+/// Segments enough for every `u32` id.
+const SEGMENTS: usize = 33 - FIRST.ilog2() as usize;
+
+/// One registry segment: its tenants' slots, each set once.
+type Segment<K> = Box<[OnceLock<Arc<SharedFib<K>>>]>;
+
+/// The segment and the index in it of tenant `i`.
+fn slot_of(i: usize) -> (usize, usize) {
+    let n = i + FIRST;
+    let s = (n.ilog2() - FIRST.ilog2()) as usize;
+    (s, n - (FIRST << s))
+}
 
 /// Group-wide memory accounting, in the units the `repro vrf` bench
 /// reports: what the tenant set actually costs, shared storage counted
@@ -61,15 +77,22 @@ impl VrfMemory {
 ///
 /// Tables are created with [`VrfTable::create`] /
 /// [`VrfTable::create_from`] and addressed by [`VrfId`] thereafter. The
-/// registry only grows in this revision: VRF deletion requires draining
-/// the tenant's interned references (a `rebuild` against an empty RIB
-/// would do it) and is deliberately left out until a caller needs it.
+/// registry only grows: it is append-only storage whose tables never
+/// move, so reading a tenant ([`VrfTable::tenant`], and through it
+/// [`VrfTable::snapshot`] and the updates) takes no lock and no
+/// reference count. VRF deletion requires draining the tenant's interned
+/// references (a `rebuild` against an empty RIB would do it) and is
+/// deliberately left out until a caller needs it.
 pub struct VrfTable<K: Bits> {
-    tables: std::sync::RwLock<Vec<Arc<SharedFib<K>>>>,
-    /// `tables.len()`, stored with Release after each push under the
-    /// write lock, so [`VrfTable::len`] takes no lock. The registry only
-    /// grows, so every id below a loaded length resolves.
+    /// Segment `s` holds the `FIRST << s` tenants from id
+    /// `FIRST * (2^s - 1)` on, allocated by the first create that needs
+    /// it. A slot is set once, before `len` passes it.
+    segments: [OnceLock<Segment<K>>; SEGMENTS],
+    /// Registered tables, stored with Release after the newest slot is
+    /// set, so every id below a loaded length resolves.
     len: AtomicUsize,
+    /// Serializes creates; readers never take it.
+    grow: Mutex<()>,
     config: PoptrieConfig,
     store: LeafStore,
 }
@@ -92,21 +115,16 @@ impl<K: Bits> VrfTable<K> {
     /// table creation).
     pub fn shared(config: PoptrieConfig, slots: u32) -> Self {
         VrfTable {
-            tables: std::sync::RwLock::new(Vec::new()),
+            segments: [const { OnceLock::new() }; SEGMENTS],
             len: AtomicUsize::new(0),
+            grow: Mutex::new(()),
             config,
             store: LeafStore::new(slots),
         }
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Vec<Arc<SharedFib<K>>>> {
-        self.tables
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Registered tables, read without the registry lock: the
-    /// engine's submit path validates every VRF id against it.
+    /// Registered tables, read without a lock: the engine's submit path
+    /// validates every VRF id against it.
     pub fn len(&self) -> usize {
         self.len.load(Ordering::Acquire)
     }
@@ -127,37 +145,89 @@ impl<K: Bits> VrfTable<K> {
     ///
     /// Panics when `config.direct_bits >= K::BITS`.
     pub fn create_from(&self, rib: RadixTree<K, NextHop>) -> VrfId {
-        let fib = SharedFib::compile_in(rib, self.config, &self.store);
-        let mut tables = self
-            .tables
-            .write()
+        let fib = Arc::new(SharedFib::compile_in(rib, self.config, &self.store));
+        let _grow = self
+            .grow
+            .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        tables.push(Arc::new(fib));
-        self.len.store(tables.len(), Ordering::Release);
-        VrfId::new((tables.len() - 1) as u32)
+        let i = self.len.load(Ordering::Relaxed);
+        let (s, at) = slot_of(i);
+        let segment =
+            self.segments[s].get_or_init(|| (0..FIRST << s).map(|_| OnceLock::new()).collect());
+        assert!(segment[at].set(fib).is_ok(), "tenant slot {i} set twice");
+        self.len.store(i + 1, Ordering::Release);
+        VrfId::new(i as u32)
     }
 
-    /// The table registered as `id`, or `None` for an unknown id.
+    /// The slot of table `id`: two `Acquire` loads, of the segment's and
+    /// the slot's cell, and no lock.
+    #[inline]
+    fn slot(&self, id: VrfId) -> Option<&Arc<SharedFib<K>>> {
+        let (s, at) = slot_of(id.index());
+        self.segments.get(s)?.get()?.get(at)?.get()
+    }
+
+    /// The table registered as `id`, or `None` for an unknown id. Takes
+    /// no lock and no reference count.
+    #[inline]
+    pub fn tenant(&self, id: VrfId) -> Option<&SharedFib<K>> {
+        self.slot(id).map(|t| &**t)
+    }
+
+    /// An owning handle on the table registered as `id` (see
+    /// [`VrfTable::tenant`] for the borrowed one).
     pub fn get(&self, id: VrfId) -> Option<Arc<SharedFib<K>>> {
-        self.read().get(id.index()).cloned()
+        self.slot(id).cloned()
     }
 
-    /// A lookup snapshot of table `id` (see [`SharedFib::snapshot`]),
-    /// taken under one read of the registry.
+    /// Every registered table, in id order.
+    fn tables(&self) -> impl Iterator<Item = &SharedFib<K>> {
+        (0..self.len()).filter_map(|i| self.tenant(VrfId::new(i as u32)))
+    }
+
+    /// A lookup snapshot of table `id` (see [`SharedFib::snapshot`]).
     pub fn snapshot(&self, id: VrfId) -> Option<Arc<FibSnapshot<K>>> {
-        self.read().get(id.index()).map(|t| t.snapshot())
+        self.tenant(id).map(SharedFib::snapshot)
     }
 
     /// Apply an update batch to table `id` under its own writer lock,
-    /// publishing one snapshot (see [`SharedFib::update_batch`]). Other
-    /// tables are untouched: isolation is structural (private nodes and
-    /// direct tables), not scheduled.
+    /// publishing one snapshot on a store epoch of its own (see
+    /// [`SharedFib::update_batch`]). Other tables are untouched:
+    /// isolation is structural (private nodes and direct tables), not
+    /// scheduled.
     pub fn update_batch(
         &self,
         id: VrfId,
         updates: impl IntoIterator<Item = RouteUpdate<K>>,
     ) -> Option<BatchOutcome> {
-        self.get(id).map(|t| t.update_batch(updates))
+        self.tenant(id).map(|t| t.update_batch(updates))
+    }
+
+    /// Apply one writer burst of tenant updates, publishing each tenant
+    /// it touches once. `burst` is reordered in place: grouped by tenant,
+    /// each tenant's updates in their original order. One leaf-store
+    /// epoch opens before the first update is applied, every tenant
+    /// snapshot the burst publishes pins it (see
+    /// [`SharedFib::update_batch_in`]), and the store collects once after
+    /// the last. Updates to unknown ids are skipped. Returns how many
+    /// updates changed a RIB.
+    pub fn update_burst(&self, burst: &mut [(VrfId, RouteUpdate<K>)]) -> usize {
+        if burst.is_empty() {
+            return 0;
+        }
+        burst.sort_by_key(|&(id, _)| id);
+        let epoch = self.store.open_epoch();
+        burst
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter_map(|run| {
+                let updates = run.iter().map(|&(_, u)| u);
+                Some(
+                    self.tenant(run[0].0)?
+                        .update_batch_in(&epoch, updates)
+                        .applied,
+                )
+            })
+            .sum()
     }
 
     /// The group's interning stats; always `Some`.
@@ -172,7 +242,7 @@ impl<K: Bits> VrfTable<K> {
             tables: self.len(),
             ..VrfMemory::default()
         };
-        for t in self.read().iter() {
+        for t in self.tables() {
             let snap = t.snapshot();
             let stats = snap.stats();
             m.routes += t.with_fib(|fib| fib.rib().len());
@@ -194,7 +264,7 @@ impl<K: Bits> VrfTable<K> {
     /// extents.
     pub fn audit(&self) -> Result<(), String> {
         let mut refs = 0u64;
-        for (i, t) in self.read().iter().enumerate() {
+        for (i, t) in self.tables().enumerate() {
             let report = t
                 .with_fib(|fib| fib.poptrie().audit())
                 .map_err(|e| format!("vrf#{i}: {e}"))?;

@@ -234,13 +234,17 @@ fn tenant_round_trips_through_bytes() {
     }
 }
 
+/// Readers race `create_from` across three registry segments. Each sees
+/// `len` only grow, and every id below a length it loaded resolves,
+/// without a lock, to the table created under that id.
 #[test]
 fn len_is_lock_free_monotone_and_every_id_below_it_resolves() {
-    const TABLES: usize = 64;
+    const TABLES: usize = 200;
+    let hop = |i: usize| (i % 7 + 1) as NextHop;
     let vrfs = std::sync::Arc::new(VrfTable::<u32>::shared(cfg(), 1 << 12));
     let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let readers: Vec<_> = (0..2)
-        .map(|_| {
+        .map(|r| {
             let vrfs = std::sync::Arc::clone(&vrfs);
             let done = std::sync::Arc::clone(&done);
             std::thread::spawn(move || {
@@ -250,15 +254,22 @@ fn len_is_lock_free_monotone_and_every_id_below_it_resolves() {
                     let finished = done.load(std::sync::atomic::Ordering::Acquire);
                     let len = vrfs.len();
                     assert!(len >= last, "len went from {last} to {len}");
-                    last = len;
                     if len > 0 {
                         // The newest id is the one a racing create just
-                        // published.
-                        let id = VrfId::new((len - 1) as u32);
-                        assert!(vrfs.get(id).is_some(), "id {} below len {len}", len - 1);
-                        assert!(vrfs.snapshot(id).is_some());
+                        // published; the reader also sweeps the ids it
+                        // has not checked yet.
+                        let newest = VrfId::new((len - 1) as u32);
+                        assert!(vrfs.get(newest).is_some(), "id {} below len {len}", len - 1);
+                        assert!(vrfs.snapshot(newest).is_some());
+                        let sweep = if r == 0 { last..len } else { len - 1..len };
+                        for i in sweep {
+                            let t = vrfs.tenant(VrfId::new(i as u32));
+                            let t = t.unwrap_or_else(|| panic!("id {i} below len {len}"));
+                            assert_eq!(t.lookup(0x0A00_0001), Some(hop(i)), "id {i}");
+                        }
                         seen += 1;
                     }
+                    last = len;
                     if finished {
                         return (last, seen);
                     }
@@ -268,8 +279,8 @@ fn len_is_lock_free_monotone_and_every_id_below_it_resolves() {
         .collect();
     for i in 0..TABLES {
         let mut rib = RadixTree::new();
-        rib.insert(p4("10.0.0.0/8"), (i % 7 + 1) as u16);
-        vrfs.create_from(rib);
+        rib.insert(p4("10.0.0.0/8"), hop(i));
+        assert_eq!(vrfs.create_from(rib), VrfId::new(i as u32));
     }
     done.store(true, std::sync::atomic::Ordering::Release);
     for r in readers {
@@ -280,4 +291,145 @@ fn len_is_lock_free_monotone_and_every_id_below_it_resolves() {
     for i in 0..TABLES {
         assert!(vrfs.get(VrfId::new(i as u32)).is_some());
     }
+    assert!(vrfs.tenant(VrfId::new(TABLES as u32)).is_none());
+    assert!(vrfs.tenant(VrfId::new(u32::MAX)).is_none());
+}
+
+/// One writer burst over the tenants `ids`, whose RIBs are `ribs`: each
+/// withdraws the same `shared` prefixes, then announces 20 fresh routes
+/// of its own. The updates arrive round-robin over the tenants, as the
+/// engine's churn delivers them, and are applied to `ribs` too. Returns
+/// the burst and how many of its updates change a RIB.
+fn round_robin(
+    rng: &mut StdRng,
+    ids: &[VrfId],
+    ribs: &mut [RadixTree<u32, NextHop>],
+    shared: &[Prefix<u32>],
+) -> (Vec<(VrfId, RouteUpdate<u32>)>, usize) {
+    let mut changed = 0;
+    let per: Vec<Vec<RouteUpdate<u32>>> = ribs
+        .iter_mut()
+        .map(|rib| {
+            let mut updates: Vec<RouteUpdate<u32>> =
+                shared.iter().map(|&p| RouteUpdate::Withdraw(p)).collect();
+            for _ in 0..20 {
+                let len = rng.gen_range(8..=28u32) as u8;
+                let p = Prefix::new(rng.gen::<u32>() & (!0u32 << (32 - len as u32)), len);
+                updates.push(RouteUpdate::Announce(p, rng.gen_range(1..=6u32) as NextHop));
+            }
+            for u in &updates {
+                changed += usize::from(match *u {
+                    RouteUpdate::Announce(p, nh) => rib.insert(p, nh) != Some(nh),
+                    RouteUpdate::Withdraw(p) => rib.remove(p).is_some(),
+                });
+            }
+            updates
+        })
+        .collect();
+    let burst = (0..per[0].len())
+        .flat_map(|j| ids.iter().zip(&per).map(move |(&id, u)| (id, u[j])))
+        .collect();
+    (burst, changed)
+}
+
+/// A writer burst over k tenants opens one store epoch and publishes each
+/// tenant once. The first tenant's snapshot, published before the others
+/// release the extents the tenants share, stays exact through the
+/// burst's collect and through later bursts that retire what it reads.
+/// Once the burst's snapshots are retired and dropped, the store's
+/// pending blocks fall back to those of a twin group that saw the same
+/// bursts and no reader.
+#[test]
+fn burst_opens_one_epoch_and_publishes_each_tenant_once() {
+    const K: usize = 4;
+    let mut rng = StdRng::seed_from_u64(12);
+    let base = random_rib(&mut rng, 1_500, 6);
+    let (vrfs, twin): (VrfTable<u32>, VrfTable<u32>) = (
+        VrfTable::shared(cfg(), 1 << 16),
+        VrfTable::shared(cfg(), 1 << 16),
+    );
+    let ids: Vec<VrfId> = (0..K).map(|_| vrfs.create_from(base.clone())).collect();
+    for _ in 0..K {
+        twin.create_from(base.clone());
+    }
+    // Two empty publishes per tenant leave each a spare, so the bursts
+    // recycle snapshots rather than copy them.
+    for group in [&vrfs, &twin] {
+        for &id in &ids {
+            group.update_batch(id, []);
+            group.update_batch(id, []);
+        }
+    }
+    let mut ribs = vec![base.clone(); K];
+    let prefixes: Vec<Prefix<u32>> = base.iter().map(|(p, _)| p).collect();
+    let mut round = 0;
+    let mut burst = |rng: &mut StdRng, ribs: &mut [RadixTree<u32, NextHop>]| {
+        let shared = &prefixes[round * 60..][..60];
+        round += 1;
+        let (mut b, changed) = round_robin(rng, &ids, ribs, shared);
+        let mut b_twin = b.clone();
+        assert_eq!(vrfs.update_burst(&mut b), changed);
+        assert_eq!(twin.update_burst(&mut b_twin), changed);
+        assert!(b.windows(2).all(|w| w[0].0 <= w[1].0), "grouped by tenant");
+    };
+    let version = |id| vrfs.tenant(id).unwrap().version();
+    let pending = |v: &VrfTable<u32>| v.intern_stats().unwrap().pending_blocks;
+
+    let epoch = vrfs.intern_stats().unwrap().epoch;
+    let versions: Vec<u64> = ids.iter().map(|&id| version(id)).collect();
+    burst(&mut rng, &mut ribs);
+    assert_eq!(vrfs.intern_stats().unwrap().epoch, epoch + 1, "one epoch");
+    for (t, &id) in ids.iter().enumerate() {
+        assert_eq!(version(id), versions[t] + 1, "tenant {t}: one publish");
+    }
+    assert!(pending(&vrfs) > 0, "the burst retired shared extents");
+
+    // Tenant 0 published first, then the others released the extents
+    // they shared with it, and the burst collected.
+    let first = vrfs.snapshot(ids[0]).unwrap();
+    let first_rib = ribs[0].clone();
+    let keys: Vec<u32> = (0..4_000)
+        .map(|_| rng.gen())
+        .chain(prefixes.iter().map(|p| p.first_addr()))
+        .collect();
+    let exact = |at: &str| {
+        for &k in &keys {
+            assert_eq!(
+                first.lookup(k),
+                first_rib.lookup(k).copied(),
+                "{at}: key {k:#x}"
+            );
+        }
+    };
+    exact("after its burst");
+
+    // Every tenant, tenant 0 included, withdraws more of the base: the
+    // extents `first` reads retire, and its pin alone holds them.
+    for later in 1..=3 {
+        burst(&mut rng, &mut ribs);
+        exact(&format!("{later} bursts later"));
+    }
+    for (t, rib) in ribs.iter().enumerate() {
+        let snap = vrfs.snapshot(ids[t]).unwrap();
+        for &k in &keys {
+            assert_eq!(
+                snap.lookup(k),
+                rib.lookup(k).copied(),
+                "tenant {t}: key {k:#x}"
+            );
+        }
+    }
+    assert!(
+        pending(&vrfs) > pending(&twin),
+        "`first` holds retired extents"
+    );
+    drop(first);
+    burst(&mut rng, &mut ribs);
+    assert_eq!(
+        pending(&vrfs),
+        pending(&twin),
+        "drained to the twin's level"
+    );
+    vrfs.audit().unwrap();
+    twin.audit().unwrap();
 }

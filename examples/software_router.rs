@@ -179,10 +179,10 @@ fn main() {
     {
         use poptrie_suite::poptrie::telemetry;
         println!("\n# final telemetry (Prometheus text format)");
+        // The node allocator's gauges live on the writer's trie.
         print!(
             "{}",
-            telemetry::snapshot()
-                .attach_structure(&fib.snapshot())
+            fib.with_fib(|f| telemetry::snapshot().attach_structure(f.poptrie()))
                 .render_prometheus()
         );
     }

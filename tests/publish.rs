@@ -6,15 +6,63 @@
 //! writer's RIB, on IPv4 and IPv6 keys, for a table with a leaf store of
 //! its own and for one table of a two-table VRF group. Debug builds
 //! additionally check every incremental publish byte for byte inside
-//! `SharedFib`.
+//! `SharedFib`. A counting global allocator checks that the publish path
+//! allocates no more on a Tier-1-sized table than on a tiny one.
 
 use poptrie_suite::poptrie::sync::{FibSnapshot, PublishStats, RouteUpdate, SharedFib};
 use poptrie_suite::poptrie::{BatchBackend, InternStats, PoptrieConfig};
 use poptrie_suite::prelude::VrfTable;
 use poptrie_suite::rng::prelude::*;
-use poptrie_suite::tablegen::{churn_stream, ChurnConfig, ChurnEvent};
+use poptrie_suite::tablegen::{self, churn_stream, ChurnConfig, ChurnEvent};
 use poptrie_suite::{bitops::Bits, Builder, Lpm, NextHop, Poptrie, Prefix, RadixTree};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
+
+/// The system allocator, counting allocations per thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments;
+// counting touches only a const-initialized thread-local `Cell`, which
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations `f` makes on the calling thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
 
 const S: u8 = 16;
 
@@ -459,4 +507,67 @@ fn publish_copies_in_proportion_to_the_burst() {
         one.bytes_copied
     );
     assert_eq!(fib.lookup(0xC633_6401), Some(7));
+}
+
+/// The allocations of one empty incremental publish on a warmed table,
+/// standalone and as a tenant of a VRF group: at most one (the new
+/// epoch's pin) and the same on a 10-route table as on a Tier-1-sized
+/// one, so publish cost does not grow with the table. The large table is
+/// churned first, so its node allocator holds many free blocks.
+#[test]
+fn empty_publish_allocations_do_not_grow_with_the_table() {
+    let tier1 = tablegen::dataset("REAL-Tier1-A").to_rib();
+    let small = RadixTree::from_routes(tier1.iter().take(10).map(|(p, &nh)| (p, nh)));
+    let withdrawn: Vec<Prefix<u32>> = tier1.iter().map(|(p, _)| p).step_by(50).collect();
+    let cfg = PoptrieConfig::new().build().unwrap();
+    let mut counts = Vec::new();
+    for (rib, withdraw) in [(small, &[][..]), (tier1, &withdrawn[..])] {
+        let own = SharedFib::compile(rib.clone(), cfg);
+        let group = VrfTable::shared(cfg, 1 << 20);
+        let id = group.create_from(rib);
+        let tenant = group.get(id).unwrap();
+        for fib in [&own, &*tenant] {
+            fib.update_batch(withdraw.iter().map(|&p| RouteUpdate::Withdraw(p)));
+            settle(fib);
+        }
+        let mut n = [0; 2];
+        let w = [
+            work(&own, |f| {
+                n[0] = allocations(|| {
+                    f.update_batch(std::iter::empty());
+                })
+            }),
+            work(&*tenant, |_| {
+                n[1] = allocations(|| {
+                    group.update_batch(id, std::iter::empty());
+                })
+            }),
+        ];
+        assert!(w.iter().all(|w| w.incremental == 1), "{w:?}");
+        counts.push(n);
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "allocations per empty publish (own store, group tenant): 10 routes vs Tier-1"
+    );
+    assert!(counts[0].iter().all(|&n| n <= 1), "{counts:?}");
+}
+
+/// A RIB withdraw, the writer's first step on every withdraw, allocates
+/// nothing: not on a present prefix, whose dead nodes it prunes, and not
+/// on an absent one.
+#[test]
+fn rib_withdraw_allocates_nothing() {
+    let mut rib: RadixTree<u128, NextHop> = RadixTree::new();
+    let deep: Prefix<u128> = Prefix::new(0x2001_0db8 << 96, 64);
+    rib.insert(Prefix::new(0x2001 << 112, 16), 1);
+    rib.insert(deep, 2);
+    let mut removed = None;
+    let n = allocations(|| {
+        removed = rib.remove(deep);
+        rib.remove(Prefix::new(0x2002 << 112, 48));
+    });
+    assert_eq!((n, removed), (0, Some(2)));
+    assert_eq!(rib.len(), 1);
+    rib.check_invariants().unwrap();
 }
