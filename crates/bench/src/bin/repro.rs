@@ -1,8 +1,10 @@
-//! `repro` — regenerate every table and figure of the Poptrie paper, and
-//! run the forwarding-stack experiments that write `results/BENCH_*.json`.
-//! `repro help` prints [`HELP`]: every experiment and its flags. `--quick`
-//! shrinks workloads for smoke runs; `--full` uses paper-scale 2^32-lookup
-//! measurements (slow).
+//! `repro` — regenerate every table and figure of the Poptrie paper, plus
+//! the ablations, the structural audit and the SLO matrix
+//! (`results/BENCH_slo.json`). `repro help` prints [`HELP`]: every
+//! experiment and its flags. `--quick` shrinks workloads for smoke runs;
+//! `--full` uses paper-scale 2^32-lookup measurements (slow). The serving
+//! stack around the paper (engine, BGP, VRF, flight recorder) is measured
+//! by `perfbench/` and gated by the test suite.
 
 use poptrie::{Builder, Fib, Poptrie, PoptrieConfig, UpdateStrategy};
 use poptrie_bench::algorithms::{build_all_v4, build_v4, Algo, BuildOutcome};
@@ -29,8 +31,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let full = args.iter().any(|a| a == "--full");
     let compare = args.iter().any(|a| a == "--compare");
-    let live = args.iter().any(|a| a == "--live");
-    let churn = args.iter().any(|a| a == "--churn");
     let cfg = if full {
         MeasureConfig::full()
     } else if quick {
@@ -41,9 +41,6 @@ fn main() {
     // `--threads` consumes the next token, so the command word is picked
     // from the positionals that remain after flag parsing.
     let mut threads: Option<usize> = None;
-    let mut mrt: Option<String> = None;
-    let mut write_fixture: Option<String> = None;
-    let mut speedup: f64 = 0.0;
     let mut positional: Vec<&str> = Vec::new();
     let mut words = args.iter();
     while let Some(a) = words.next() {
@@ -52,26 +49,6 @@ fn main() {
             if threads.is_none() {
                 eprintln!("--threads needs a positive integer");
                 std::process::exit(2);
-            }
-        } else if a == "--mrt" {
-            mrt = words.next().cloned();
-            if mrt.is_none() {
-                eprintln!("--mrt needs a file path");
-                std::process::exit(2);
-            }
-        } else if a == "--write-fixture" {
-            write_fixture = words.next().cloned();
-            if write_fixture.is_none() {
-                eprintln!("--write-fixture needs a file path");
-                std::process::exit(2);
-            }
-        } else if a == "--speedup" {
-            match words.next().and_then(|v| v.parse().ok()) {
-                Some(s) => speedup = s,
-                None => {
-                    eprintln!("--speedup needs a number (0 = as fast as possible)");
-                    std::process::exit(2);
-                }
             }
         } else if !a.starts_with("--") {
             positional.push(a);
@@ -94,24 +71,8 @@ fn main() {
         "fig7" => fig7(&mut ctx),
         "fig8" => fig8(&mut ctx),
         "fig9" => fig9(&mut ctx),
-        "fig10" if live => fig10_live(&mut ctx, threads.unwrap_or(2), churn),
         "fig10" => fig10(&mut ctx),
         "slo" => slo(&mut ctx, threads.unwrap_or(2)),
-        "bgp" => bgp(
-            &mut ctx,
-            &BgpOpts {
-                mrt,
-                write_fixture,
-                speedup,
-                threads: threads.unwrap_or(2),
-            },
-        ),
-        "trace" => trace_cmd(&mut ctx, threads.unwrap_or(2)),
-        "vrf" => vrf_cmd(
-            &mut ctx,
-            threads.unwrap_or(2),
-            if full { 4096 } else { 1024 },
-        ),
         "fig11" => fig11(&mut ctx),
         "fig12" => fig12(&mut ctx),
         "updates" => updates(&mut ctx),
@@ -146,22 +107,11 @@ const HELP: &str = "\
 repro — regenerate the tables and figures of the Poptrie paper (SIGCOMM 2015)
 
 usage: repro <experiment> [--quick | --full] [--compare]
-       repro fig10 --live --threads N [--churn] [--quick]
        repro slo [--threads N] [--quick]
-       repro bgp [--quick] [--threads N] [--mrt FILE] [--speedup X]
-       repro bgp --write-fixture FILE
-       repro trace [--quick] [--threads N]
-       repro vrf [--quick | --full] [--threads N]
-       repro stats [--prometheus]
+       repro stats <dataset>
 
 experiments: table1 table2 table3 table4 table5 table6
              fig7 fig8 fig9 fig10 fig11 fig12 updates all
-             fig10 --live      drive the sharded forwarding engine:
-                      N pinned workers draining bounded batch queues
-                      against the RCU snapshot, sweeping worker counts
-                      1..=N; --churn replays a seeded BGP update stream
-                      through the control-plane writer concurrently;
-                      writes results/BENCH_engine.json
              slo      tail-latency SLO matrix through the forwarding
                       engine under deadline QoS: traffic pattern (uniform,
                       zipf, microburst, worst-depth) x worker count
@@ -170,49 +120,6 @@ experiments: table1 table2 table3 table4 table5 table6
                       cell with exact drop accounting; writes
                       results/BENCH_slo.json and exits nonzero on an
                       accounting mismatch or malformed JSON
-             bgp      BGP control-plane replay: drive wire-format UPDATE
-                      messages (synthetic, or an MRT BGP4MP capture via
-                      --mrt) through the RFC 4271 session FSM into the
-                      engine's control plane, with a seeded mid-replay
-                      session flap (reset, exponential-backoff reconnect,
-                      full-table resend) while lookups keep serving the
-                      last snapshot; gates on exact announce/withdraw
-                      accounting and a FIB-vs-RIB-oracle match, writes
-                      results/BENCH_bgp.json (updates/s, convergence-lag
-                      p50/p99/p99.9, lookups/s), exits nonzero on any
-                      mismatch. --speedup X paces the trace at X times
-                      the recorded rate (0 = as fast as possible);
-                      --write-fixture FILE emits the deterministic
-                      BGP4MP fixture CI replays
-             trace    flight-recorder run (requires building with
-                      --features observe): per-lookup-phase perf-counter
-                      attribution (direct-point hit vs trie descent, per
-                      dispatch tier), a BGP->writer->publish->lookup
-                      convergence-span replay exported as Perfetto-
-                      loadable Chrome trace JSON
-                      (results/BENCH_trace_events.json), and the
-                      recorder's own overhead at 1-in-64 sampling;
-                      writes results/BENCH_trace.json and exits nonzero
-                      on a broken span chain or phase-counter mismatch
-             vrf      multi-tenant VRF scale: compile 1024 tenant FIBs
-                      (4096 under --full) from one base feed plus
-                      per-tenant deltas into one shared leaf store with
-                      next-hop interning, against unshared leaves;
-                      then churn one tenant through the engine's control
-                      plane while VRF-keyed lookups are served across
-                      the whole group. Gates on exact cross-table
-                      reference reconciliation, oracle-exact lookups on
-                      an untouched tenant during churn, and a >= 25%
-                      bytes/route reduction from interning; writes
-                      results/BENCH_vrf.json and exits nonzero on any
-                      violation
-             stats    with no dataset argument: live-telemetry replay —
-                      a seeded lookup + churn workload whose counters are
-                      reconciled against the script, dumped as Prometheus
-                      text and results/BENCH_telemetry.json (requires
-                      building with --features observe); --prometheus
-                      additionally exercises the engine and a BGP session
-                      and merges their registries into the same scrape
              stats <dataset|SYN1-...|SYN2-...>   structural diagnostics
              audit    structural invariant audit: fresh builds, the §4.9
                       replay under both update strategies, and a seeded
@@ -269,13 +176,10 @@ fn section(title: &str) {
 
 /// Write `results/<name>` through [`write_artifact`], exiting 1 when the
 /// file cannot be written or does not read back whole with every
-/// `required` field. Returns the document as read back.
-fn emit(name: &str, doc: &Json, required: &[&str]) -> Json {
+/// `required` field.
+fn emit(name: &str, doc: &Json, required: &[&str]) {
     match write_artifact(&std::path::Path::new("results").join(name), doc, required) {
-        Ok(landed) => {
-            println!("wrote results/{name}");
-            landed
-        }
+        Ok(_) => println!("wrote results/{name}"),
         Err(e) => {
             eprintln!("error: results/{name}: {e}");
             std::process::exit(1);
@@ -799,7 +703,7 @@ fn fig10(ctx: &mut Ctx) {
     print!("{}", t.render());
 }
 
-// ---------------------------------------------------------- fig 10 --live
+// -------------------------------------------------------------------- slo
 
 /// The worker counts an engine experiment sweeps: 1, 2, 4 below
 /// `threads`, then `threads` itself.
@@ -819,220 +723,6 @@ fn key_pool(batch: usize, mut fill: impl FnMut(&mut [u32])) -> Vec<std::sync::Ar
     };
     (0..256).map(batch_of).collect()
 }
-
-/// One engine run: feed pre-generated packet batches round-robin into the
-/// worker queues for `duration` (non-blocking; full queues shed load and
-/// are counted as drops), optionally replaying a churn stream through the
-/// control channel, then drain-shutdown and report the aggregate rate.
-fn live_run(
-    fib: &std::sync::Arc<poptrie::sync::SharedFib<u32>>,
-    workers: usize,
-    pool: &[std::sync::Arc<[u32]>],
-    churn: &[ChurnEvent<u32>],
-    duration: std::time::Duration,
-) -> (f64, poptrie_engine::EngineReport) {
-    use poptrie::sync::RouteUpdate;
-    use poptrie_engine::{Engine, EngineConfig};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let engine = Engine::start(
-        Arc::clone(fib),
-        // Engine defaults: workers pinned round-robin (pinning degrades
-        // to a no-op for worker indices beyond the core count), 64-batch
-        // queues. The feeder below floats — it bursts and sleeps, so the
-        // scheduler slots it into whichever core has slack.
-        EngineConfig::new(workers).queue_capacity(64),
-    );
-    let ingress = engine.ingress();
-    let control = engine.control();
-    let deadline = Instant::now() + duration;
-    let (mut i, mut ev) = (0usize, 0usize);
-    'feed: loop {
-        // Burst-submit between clock checks: keeping the 64-deep queues
-        // topped up (not the clock) paces this loop, and a drained queue
-        // would park its worker on the condvar — the expensive case.
-        for _ in 0..256 {
-            // ~1 control-plane event per 64 data batches keeps the
-            // writer busy without dominating the run.
-            if !churn.is_empty() && i % 64 == 0 {
-                let update = match churn[ev % churn.len()] {
-                    ChurnEvent::Announce(p, nh) => RouteUpdate::Announce(p, nh),
-                    ChurnEvent::Withdraw(p) => RouteUpdate::Withdraw(p),
-                };
-                let _ = control.send(update); // full channel: shed, counted
-                ev += 1;
-            }
-            i += 1;
-            if ingress
-                .try_submit(Arc::clone(&pool[i % pool.len()]))
-                .is_err()
-            {
-                // Every queue is full: the workers are saturated with
-                // ~400 µs of buffered work each. Sleep it off rather
-                // than burn a core the workers could use.
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-        if Instant::now() >= deadline {
-            break 'feed;
-        }
-    }
-    let report = engine.shutdown(Duration::from_secs(30));
-    let mlps = report.packets as f64 / report.elapsed.as_secs_f64() / 1e6;
-    (mlps, report)
-}
-
-/// `repro fig10 --live --threads N [--churn]`: the §4.8 multi-core
-/// experiment through the real forwarding engine instead of bare
-/// per-thread loops — bounded ingress queues, RCU snapshot re-acquired
-/// per batch, and (with `--churn`) a concurrent seeded BGP stream through
-/// the single control-plane writer.
-fn fig10_live(ctx: &mut Ctx, threads: usize, churn: bool) {
-    use poptrie::sync::SharedFib;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let threads = threads.max(1);
-    section(&format!(
-        "Figure 10 (live engine): aggregate rate by worker count, 1..={threads}{}",
-        if churn { ", under churn" } else { "" }
-    ));
-    let ds_name = if ctx.quick {
-        "RV-sydney-p0"
-    } else {
-        "REAL-Tier1-A"
-    };
-    let dataset = ctx.dataset(ds_name).clone();
-    let pcfg = PoptrieConfig::new().direct_bits(18).build().unwrap();
-
-    // Pre-generate the traffic: a pool of random packet batches the
-    // feeder recycles, so the hot loop only clones `Arc`s. An ingress
-    // batch is an rx-burst of many lookup_batch calls (64x the
-    // measurement batch): each queue handoff costs a mutex and possibly
-    // a futex wake, and on a small host the feeder shares cores with the
-    // workers, so a handoff has to carry enough lookup work that the
-    // feeder's core share stays negligible.
-    let batch = ctx.cfg.batch.max(1) * 64;
-    let mut src = poptrie_traffic::fill::RandomV4::new(0x000F_1610);
-    let pool = key_pool(batch, |k| src.fill(k));
-    let events = if churn {
-        churn_stream::<u32>(&ChurnConfig {
-            seed: 0x16F1,
-            events: if ctx.quick { 2_000 } else { 20_000 },
-            direct_bits: 18,
-            ..ChurnConfig::default()
-        })
-    } else {
-        Vec::new()
-    };
-
-    let duration = if ctx.quick {
-        Duration::from_millis(250)
-    } else {
-        Duration::from_millis(1500)
-    };
-    let reps = if ctx.quick { 2 } else { 3 };
-    let counts = worker_sweep(threads);
-
-    // Dispatch-tier comparison on identical table and traffic: the
-    // scalar batched walker against the widest SIMD tier this CPU runs.
-    // The backend is forced on the FIB before the engine starts.
-    let widest = poptrie::BatchBackend::widest_available();
-    let backends: Vec<poptrie::BatchBackend> = if widest == poptrie::BatchBackend::Scalar {
-        vec![widest]
-    } else {
-        vec![poptrie::BatchBackend::Scalar, widest]
-    };
-
-    let mut t = Table::new(vec![
-        "Workers",
-        "Backend",
-        "Rate [Mlps]",
-        "Batches",
-        "Dropped",
-        "Publishes",
-        "Coalesced",
-        "Respawns",
-        "FIB ver.",
-    ]);
-    let mut runs = Vec::new();
-    // Per worker count: scalar and SIMD rates, for the summary line.
-    let mut compare: Vec<(usize, f64, f64)> = Vec::new();
-    for &workers in &counts {
-        let mut rates: Vec<f64> = Vec::new();
-        for &backend in &backends {
-            // Fresh FIB per sweep point so every cell replays the same
-            // churn against the same starting table.
-            let fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::compile(dataset.to_rib(), pcfg));
-            assert_eq!(fib.set_batch_backend(backend), backend);
-            // Best of `reps`: on a small host the feeder competes with
-            // the workers for cores, so a single run is noisy.
-            let mut best: Option<(f64, poptrie_engine::EngineReport)> = None;
-            for _ in 0..reps {
-                let run = live_run(&fib, workers, &pool, &events, duration);
-                match &best {
-                    Some((b, _)) if run.0 <= *b => {}
-                    _ => best = Some(run),
-                }
-            }
-            let (mlps, report) = best.expect("reps >= 1");
-            assert!(report.drained_clean, "engine failed to drain on shutdown");
-            assert_eq!(report.leaked_threads, 0, "engine leaked threads");
-            rates.push(mlps);
-            let respawns: u64 = report.workers.iter().map(|w| w.respawns).sum();
-            let version = fib.version();
-            t.row(vec![
-                workers.to_string(),
-                backend.to_string(),
-                format!("{mlps:.2}"),
-                report.batches.to_string(),
-                report.dropped_batches.to_string(),
-                report.publishes.to_string(),
-                report.updates_coalesced.to_string(),
-                respawns.to_string(),
-                version.to_string(),
-            ]);
-            runs.push(json!({
-                "workers": workers, "backend": backend.to_string(), "mlps": mlps,
-                "packets": report.packets, "batches": report.batches,
-                "dropped_batches": report.dropped_batches, "publishes": report.publishes,
-                "update_events": report.update_events,
-                "updates_coalesced": report.updates_coalesced,
-                "control_dropped": report.control_dropped, "respawns": respawns,
-                "fib_version": version,
-                "drained_clean": report.drained_clean,
-            }));
-        }
-        if rates.len() == 2 {
-            compare.push((workers, rates[0], rates[1]));
-        }
-    }
-    print!("{}", t.render());
-    println!(
-        "(best of {reps} runs of {} ms each; drops are shed ingress batches)",
-        duration.as_millis()
-    );
-    for &(workers, scalar, simd) in &compare {
-        println!(
-            "  {workers} worker(s): {widest} {simd:.2} Mlps vs scalar {scalar:.2} Mlps \
-             (x{:.2})",
-            simd / scalar.max(1e-9)
-        );
-    }
-
-    let doc = json!({
-        "experiment": "fig10_live", "dataset": ds_name, "batch": batch,
-        "duration_ms": duration.as_millis() as u64, "reps": reps, "churn": churn, "runs": runs,
-    });
-    emit(
-        "BENCH_engine.json",
-        &doc,
-        &["/experiment", "/runs/0/mlps", "/runs/0/drained_clean"],
-    );
-}
-
-// -------------------------------------------------------------------- slo
 
 /// Driver-side tallies of one SLO cell run, alongside the engine's own
 /// report. The driver counts everything it *offered* (including batches
@@ -1131,389 +821,6 @@ fn slo_run(
     }
 }
 
-/// `repro vrf [--quick | --full] [--threads N]`: the multi-tenant VRF
-/// scale benchmark and its CI gate.
-///
-/// Provisions a family of tenant FIBs — one dense base feed plus a small
-/// per-tenant delta, the VPN regime where tables are overwhelmingly
-/// byte-identical — into a `VrfTable` sharing one interned leaf store.
-/// Reports bytes/route for the group (shared storage counted once) and
-/// for the same tenants with unshared leaves (one slot per leaf, the
-/// paper's accounting), and the reduction interning buys. Then
-/// attaches the shared registry to the forwarding engine and, while
-/// VRF-keyed lookup batches fan out across the whole group, churns one
-/// tenant through the control plane, probing an untouched tenant's
-/// snapshot for oracle-exact answers and a stable version throughout.
-///
-/// Hard gates (nonzero exit): exact cross-table reference reconciliation
-/// (every table's leaf-block references sum to the store's total, and
-/// the store's own invariants hold), zero isolation mismatches, an
-/// oracle-exact churned tenant, and a >= 25% bytes/route reduction.
-fn vrf_cmd(ctx: &mut Ctx, threads: usize, tenants: usize) {
-    use poptrie::sync::SharedFib;
-    use poptrie::VrfId;
-    use poptrie_engine::{Engine, EngineConfig, VrfTable};
-    use poptrie_rib::{NextHop, Prefix, RadixTree};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let (groups, delta_routes, churn_updates, lookup_batches) = if ctx.quick {
-        (12usize, 12usize, 200u64, 128usize)
-    } else {
-        (32, 24, 1_000, 1024)
-    };
-    let batch_keys = 256usize;
-    let probe_count = 4096usize;
-
-    println!("== repro vrf: {tenants} tenant FIBs over one shared interned leaf store ==\n");
-
-    // The tenant family. Each base group is 64 consecutive /26es on a
-    // /20-aligned base with next hops cycling through a small pool (a
-    // per-group phase keeps the patterns from collapsing to one block):
-    // adjacent leaves always differ, so every group compiles to one full
-    // 64-leaf chunk — the leaf-heavy shape whose redundancy across
-    // tenants is exactly what interning collapses. Deltas are sparse
-    // tenant-private /26es.
-    let mut rng = StdRng::seed_from_u64(0x7e4a_11f0);
-    let mut base: RadixTree<u32, NextHop> = RadixTree::new();
-    let mut group_bases: Vec<u32> = Vec::with_capacity(groups);
-    while group_bases.len() < groups {
-        let g: u32 = rng.gen::<u32>() & (!0u32 << 12); // /20-aligned
-        if group_bases.contains(&g) {
-            continue;
-        }
-        group_bases.push(g);
-        let phase = group_bases.len() % 8;
-        for i in 0..64u32 {
-            let nh = ((i as usize + phase) % 8 + 1) as NextHop;
-            base.insert(Prefix::new(g | (i << 6), 26), nh);
-        }
-    }
-    let deltas: Vec<Vec<(Prefix<u32>, NextHop)>> = (0..tenants)
-        .map(|_| {
-            (0..delta_routes)
-                .map(|_| {
-                    let addr = rng.gen::<u32>() & (!0u32 << 6);
-                    (Prefix::new(addr, 26), rng.gen_range(1..=64u32) as NextHop)
-                })
-                .collect()
-        })
-        .collect();
-    let rib_of = |i: usize| -> RadixTree<u32, NextHop> {
-        let mut rib = base.clone();
-        for &(p, nh) in &deltas[i] {
-            rib.insert(p, nh);
-        }
-        rib
-    };
-    // Probe keys for the oracle checks: half inside base groups (where
-    // the answers are nontrivial), half uniform.
-    let probes: Vec<u32> = (0..probe_count)
-        .map(|i| {
-            if i % 2 == 0 {
-                group_bases[rng.gen_range(0..groups)] | rng.gen_range(0..1u32 << 12)
-            } else {
-                rng.gen()
-            }
-        })
-        .collect();
-
-    let config = PoptrieConfig::new().direct_bits(8).build().unwrap();
-
-    // Tenant 0's unshared leaf count sizes the store (with generous
-    // margin for churn and per-tenant deltas).
-    let tenant0: Poptrie<u32> = Builder::from_config(&config).build(&rib_of(0));
-    let per_table_slots = tenant0.stats().leaves;
-    let capacity =
-        (per_table_slots * 4 + tenants * delta_routes * 8 + (1 << 17)).next_power_of_two() as u32;
-    let t0 = Instant::now();
-    let shared: Arc<VrfTable<u32>> = Arc::new(VrfTable::shared(config, capacity));
-    for i in 0..tenants {
-        shared.create_from(rib_of(i));
-    }
-    let shared_build = t0.elapsed();
-    let sm = shared.memory();
-    let intern = shared.intern_stats().expect("shared registry");
-    // The same tenants with unshared leaves: the node and direct bytes
-    // plus one two-byte slot per leaf.
-    let private_total = sm.node_bytes + sm.direct_bytes + sm.unshared_leaf_bytes;
-    let private_bpr = private_total as f64 / sm.routes as f64;
-
-    let reduction = 1.0 - sm.bytes_per_route() / private_bpr;
-
-    // Phase 2: the engine. VRF-keyed lookups fan out over every tenant
-    // while the control plane churns tenant 0; tenant 1 must stay
-    // byte-for-byte untouched (stable snapshot version, oracle-exact
-    // answers) the whole time — isolation is structural, not scheduled.
-    let vrf_churned = VrfId::new(0);
-    let vrf_untouched = VrfId::new(1);
-    let untouched_oracle = rib_of(1);
-    let untouched_version = shared.snapshot(vrf_untouched).expect("tenant 1").version();
-    let mut churn_oracle = rib_of(0);
-
-    let fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::with_config(config));
-    let engine = Engine::start(
-        Arc::clone(&fib),
-        EngineConfig::new(threads)
-            .pin_workers(false)
-            .queue_capacity(256)
-            .control_capacity(8192)
-            .vrfs(Arc::clone(&shared)),
-    );
-    let control = engine.control();
-    let ingress = engine.ingress();
-    let telemetry = engine.telemetry();
-
-    // Churn tenant 0: announces/withdraws of sparse /26es, mirrored
-    // into a RIB oracle, with an isolation probe of tenant 1 after
-    // every drained chunk.
-    let mut isolation_checked = 0u64;
-    let mut isolation_mismatches = 0u64;
-    let mut sent = 0u64;
-    let chunk = (churn_updates / 10).max(1);
-    while sent < churn_updates {
-        for _ in 0..chunk.min(churn_updates - sent) {
-            let addr = rng.gen::<u32>() & (!0u32 << 6);
-            let p = Prefix::new(addr, 26);
-            let mut u = if rng.gen_bool(0.75) {
-                let nh = rng.gen_range(1..=64u32) as NextHop;
-                churn_oracle.insert(p, nh);
-                poptrie::sync::RouteUpdate::Announce(p, nh)
-            } else {
-                churn_oracle.remove(p);
-                poptrie::sync::RouteUpdate::Withdraw(p)
-            };
-            while let Err(back) = control.send_vrf(vrf_churned, u) {
-                u = back;
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            sent += 1;
-        }
-        let drain_deadline = Instant::now() + Duration::from_secs(10);
-        while telemetry.update_events.get() < sent && Instant::now() < drain_deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let snap = shared.snapshot(vrf_untouched).expect("tenant 1");
-        for &k in &probes {
-            isolation_checked += 1;
-            if snap.lookup(k) != untouched_oracle.lookup(k).copied() {
-                isolation_mismatches += 1;
-            }
-        }
-    }
-    let untouched_stable =
-        shared.snapshot(vrf_untouched).expect("tenant 1").version() == untouched_version;
-
-    // The churned tenant itself must be oracle-exact after the storm.
-    let mut churn_mismatches = 0u64;
-    let churn_snap = shared.snapshot(vrf_churned).expect("tenant 0");
-    for &k in &probes {
-        if churn_snap.lookup(k) != churn_oracle.lookup(k).copied() {
-            churn_mismatches += 1;
-        }
-    }
-
-    // Aggregate VRF-keyed lookup throughput across the whole group.
-    let batches: Vec<Arc<[u32]>> = (0..8)
-        .map(|_| (0..batch_keys).map(|_| rng.gen::<u32>()).collect())
-        .collect();
-    let t0 = Instant::now();
-    let mut submitted_packets = 0u64;
-    for b in 0..lookup_batches {
-        let vrf = VrfId::new((b % tenants) as u32);
-        let mut batch = Arc::clone(&batches[b % batches.len()]);
-        while let Err(back) = ingress.try_submit_vrf(vrf, batch) {
-            batch = back;
-            std::thread::yield_now();
-        }
-        submitted_packets += batch_keys as u64;
-    }
-    let serve_deadline = Instant::now() + Duration::from_secs(30);
-    while telemetry.vrf_packets.get() < submitted_packets && Instant::now() < serve_deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let lookup_elapsed = t0.elapsed();
-    let agg_mlps = submitted_packets as f64 / lookup_elapsed.as_secs_f64() / 1e6;
-
-    let report = engine.shutdown(Duration::from_secs(30));
-    let intern_after = shared.intern_stats().expect("shared registry");
-
-    // Exact reconciliation, after everything: every table's leaf-block
-    // references must sum to the store's total and every structural
-    // audit must pass.
-    let shared_audit = shared.audit();
-
-    let mut t = Table::new(vec!["Metric", "Private", "Shared"]);
-    let tables = format!("{} x {}", sm.tables, sm.routes / sm.tables.max(1));
-    t.row(vec!["tables x routes".into(), tables.clone(), tables]);
-    t.row(vec![
-        "build time".into(),
-        "-".into(),
-        format!("{:.2}s", shared_build.as_secs_f64()),
-    ]);
-    t.row(vec![
-        "node bytes".into(),
-        mib(sm.node_bytes),
-        mib(sm.node_bytes),
-    ]);
-    t.row(vec![
-        "direct bytes".into(),
-        mib(sm.direct_bytes),
-        mib(sm.direct_bytes),
-    ]);
-    t.row(vec![
-        "leaf bytes".into(),
-        mib(sm.unshared_leaf_bytes),
-        format!("{} (store, once)", mib(sm.shared_store_bytes)),
-    ]);
-    t.row(vec![
-        "total bytes".into(),
-        mib(private_total),
-        mib(sm.total_bytes()),
-    ]);
-    t.row(vec![
-        "bytes/route".into(),
-        format!("{private_bpr:.1}"),
-        format!("{:.1}", sm.bytes_per_route()),
-    ]);
-    print!("{}", t.render());
-    println!(
-        "bytes/route reduction from interning: {:.1}% (gate: >= 25%)",
-        reduction * 100.0
-    );
-    println!(
-        "interning: {} live extents, {} dedup hits vs {} fresh allocs, {} of {} slots used",
-        intern.live_extents,
-        intern.dedup_hits,
-        intern.fresh_allocs,
-        intern.live_slots_rounded,
-        intern.capacity
-    );
-    println!(
-        "churn: {sent} updates to tenant 0 ({} applied), convergence p50/p99 {:.1}/{:.1} us",
-        report.vrf_updates,
-        report.convergence.p50_ns as f64 / 1e3,
-        report.convergence.p99_ns as f64 / 1e3,
-    );
-    println!(
-        "isolation: {isolation_checked} probes of tenant 1 during churn, \
-         {isolation_mismatches} mismatches, version stable: {untouched_stable}"
-    );
-    println!(
-        "lookups: {} VRF-keyed packets across {tenants} tenants, {agg_mlps:.2} aggregate Mlps",
-        report.vrf_packets
-    );
-
-    let mut failures: Vec<String> = Vec::new();
-    if let Err(e) = &shared_audit {
-        failures.push(format!("shared registry audit failed: {e}"));
-    }
-    if reduction < 0.25 {
-        failures.push(format!(
-            "interning reduced bytes/route by only {:.1}% (< 25%)",
-            reduction * 100.0
-        ));
-    }
-    if isolation_mismatches != 0 {
-        failures.push(format!(
-            "{isolation_mismatches} oracle mismatches on the untouched tenant during churn"
-        ));
-    }
-    if !untouched_stable {
-        failures.push("untouched tenant's snapshot version moved during churn".into());
-    }
-    if churn_mismatches != 0 {
-        failures.push(format!(
-            "{churn_mismatches} oracle mismatches on the churned tenant"
-        ));
-    }
-    if telemetry.update_events.get() < sent {
-        failures.push(format!(
-            "writer drained {} of {sent} churn updates",
-            telemetry.update_events.get()
-        ));
-    }
-    if report.vrf_packets < submitted_packets {
-        failures.push(format!(
-            "served {} of {submitted_packets} VRF-keyed packets",
-            report.vrf_packets
-        ));
-    }
-    if intern.dedup_hits == 0 {
-        failures.push("no dedup hits: interning did nothing".into());
-    }
-    if report.convergence.samples == 0 {
-        failures.push("convergence-lag histogram is empty".into());
-    }
-
-    let doc = json!({
-        "experiment": "vrf", "quick": ctx.quick, "tenants": tenants, "routes": sm.routes,
-        "threads": threads,
-        "private": json!({
-            "node_bytes": sm.node_bytes, "direct_bytes": sm.direct_bytes,
-            "leaf_bytes": sm.unshared_leaf_bytes, "total_bytes": private_total,
-            "bytes_per_route": private_bpr,
-        }),
-        "shared": json!({
-            "node_bytes": sm.node_bytes, "direct_bytes": sm.direct_bytes,
-            "store_bytes": sm.shared_store_bytes, "store_used_bytes": sm.shared_used_bytes,
-            "total_bytes": sm.total_bytes(), "bytes_per_route": sm.bytes_per_route(),
-            "build_ms": shared_build.as_secs_f64() * 1e3,
-        }),
-        "reduction": reduction,
-        "intern": json!({
-            "live_extents": intern_after.live_extents,
-            "live_slots_rounded": intern_after.live_slots_rounded,
-            "total_refs": intern_after.total_refs, "dedup_hits": intern_after.dedup_hits,
-            "fresh_allocs": intern_after.fresh_allocs,
-            "pending_blocks": intern_after.pending_blocks, "epoch": intern_after.epoch,
-            "capacity": intern_after.capacity,
-        }),
-        "churn": json!({
-            "sent": sent, "vrf_updates_applied": report.vrf_updates,
-            "convergence_ns": &report.convergence,
-        }),
-        "isolation": json!({
-            "probes": isolation_checked, "mismatches": isolation_mismatches,
-            "untouched_version_stable": untouched_stable,
-            "churned_tenant_mismatches": churn_mismatches,
-        }),
-        "lookup": json!({"vrf_packets": report.vrf_packets, "agg_mlps": agg_mlps}),
-        "reconciliation": json!({
-            "shared_audit_ok": shared_audit.is_ok(),
-            "interner_refs": intern_after.total_refs,
-        }),
-    });
-    emit(
-        "BENCH_vrf.json",
-        &doc,
-        &[
-            "/experiment",
-            "/tenants",
-            "/reduction",
-            "/private/bytes_per_route",
-            "/shared/bytes_per_route",
-            "/intern",
-            "/isolation",
-            "/reconciliation",
-            "/lookup/agg_mlps",
-            "/churn/convergence_ns/p99_ns",
-        ],
-    );
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("error: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "[vrf] OK: {tenants} tenants, {:.1}% bytes/route reduction, exact reconciliation, \
-         isolation oracle-exact",
-        reduction * 100.0
-    );
-}
-
 /// `repro slo [--threads N] [--quick]`: the tail-latency SLO matrix.
 ///
 /// Sweeps traffic pattern (uniform, Zipf flow mix, microburst,
@@ -1544,8 +851,8 @@ fn slo(ctx: &mut Ctx, threads: usize) {
 
     // Pre-generated key pools, one per pattern (the microburst pattern
     // reuses the uniform keys — it differs in *timing*, not content).
-    // Sized as in fig10 --live: an ingress batch is an rx-burst of 64
-    // measurement batches so each queue handoff carries enough work.
+    // An ingress batch is an rx-burst of 64 measurement batches, so each
+    // queue handoff carries enough work.
     let batch = ctx.cfg.batch.max(1) * 64;
     let mut uniform_src = poptrie_traffic::fill::RandomV4::new(0x510_F00D);
     let uniform_pool = key_pool(batch, |k| uniform_src.fill(k));
@@ -1809,554 +1116,6 @@ fn slo(ctx: &mut Ctx, threads: usize) {
     }
 }
 
-// ------------------------------------------------------------------ bgp
-
-struct BgpOpts {
-    mrt: Option<String>,
-    write_fixture: Option<String>,
-    speedup: f64,
-    threads: usize,
-}
-
-/// Forward one accepted UPDATE's IPv4 routes into the engine's control
-/// channel, retrying while the bounded channel pushes back (correctness
-/// needs every update to land). Each carries the session's span ID so a
-/// trace-enabled engine can attribute its apply to this UPDATE. Returns
-/// the number forwarded.
-fn forward_routes(
-    control: &poptrie_engine::Control<u32>,
-    interner: &mut poptrie_bgp::NextHopInterner,
-    span: u64,
-    routes: Vec<poptrie_bgp::RouteEvent>,
-) -> u64 {
-    use poptrie::sync::RouteUpdate;
-    use poptrie_bgp::RouteEvent;
-    let mut sent = 0;
-    for r in routes {
-        let mut update = match r {
-            RouteEvent::AnnounceV4(p, nh) => {
-                RouteUpdate::Announce(p, interner.intern(std::net::IpAddr::V4(nh)))
-            }
-            RouteEvent::WithdrawV4(p) => RouteUpdate::Withdraw(p),
-            RouteEvent::AnnounceV6(..) | RouteEvent::WithdrawV6(..) => continue,
-        };
-        while let Err(back) = control.send_spanned(span, update) {
-            update = back;
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-        sent += 1;
-    }
-    sent
-}
-
-/// The OPEN the replayed peer (AS 65001) sends in every handshake.
-fn peer_open() -> Vec<u8> {
-    poptrie_bgp::wire::Message::Open(poptrie_bgp::wire::OpenMsg {
-        version: 4,
-        asn: 65_001,
-        hold_time: 90,
-        bgp_id: 0xC000_0201,
-        params: Vec::new(),
-    })
-    .encode()
-}
-
-/// Deterministically synthesize a BGP4MP update trace: a full-table
-/// announcement of `n_base` random prefixes followed by `n_churn`
-/// churn events (path-change re-announcements and withdrawals), one
-/// UPDATE message per event, timestamped at 10k updates/s recorded
-/// rate.
-fn synth_bgp_trace(n_base: usize, n_churn: usize, seed: u64) -> tablegen::mrt::UpdateTrace {
-    use poptrie_bgp::wire::{Message, UpdateMsg};
-    use poptrie_rib::Prefix;
-    use poptrie_rng::prelude::*;
-    use std::net::Ipv4Addr;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let nh_pool: Vec<Ipv4Addr> = (1u32..=8)
-        .map(|i| Ipv4Addr::from(0xC633_6400 + i))
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    let mut base: Vec<Prefix<u32>> = Vec::with_capacity(n_base);
-    while base.len() < n_base {
-        let len = rng.gen_range(8..=24u8);
-        let p = Prefix::new(rng.gen::<u32>(), len);
-        if seen.insert(p) {
-            base.push(p);
-        }
-    }
-    let mut records = Vec::with_capacity(n_base + n_churn);
-    let mut push = |i: usize, msg: Message| {
-        records.push(tablegen::mrt::UpdateRecord {
-            timestamp_us: 1_700_000_000_000_000 + i as u64 * 100,
-            peer_asn: 65_001,
-            peer_address: std::net::IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1)),
-            message: msg.encode(),
-        });
-    };
-    let mut present = base.clone();
-    for (i, p) in base.iter().enumerate() {
-        push(
-            i,
-            Message::Update(UpdateMsg {
-                announced_v4: vec![*p],
-                next_hop_v4: Some(nh_pool[i % nh_pool.len()]),
-                ..UpdateMsg::default()
-            }),
-        );
-    }
-    for i in 0..n_churn {
-        let withdraw = !present.is_empty() && rng.gen_bool(0.3);
-        let msg = if withdraw {
-            let at = rng.gen_range(0..present.len());
-            let p = present.swap_remove(at);
-            Message::Update(UpdateMsg {
-                withdrawn_v4: vec![p],
-                ..UpdateMsg::default()
-            })
-        } else {
-            let p = *base.choose(&mut rng).expect("non-empty base");
-            if !present.contains(&p) {
-                present.push(p);
-            }
-            Message::Update(UpdateMsg {
-                announced_v4: vec![p],
-                next_hop_v4: Some(*nh_pool.choose(&mut rng).expect("non-empty pool")),
-                ..UpdateMsg::default()
-            })
-        };
-        push(n_base + i, msg);
-    }
-    tablegen::mrt::UpdateTrace { records }
-}
-
-/// `repro bgp`: replay a BGP4MP update trace through the RFC 4271
-/// session FSM into the engine's control plane, with a seeded
-/// mid-replay session flap, while a feeder thread keeps lookups flowing
-/// against the served snapshots.
-///
-/// The run gates hard (nonzero exit) on: exact announce/withdraw
-/// accounting against the trace, zero parse errors, lookups served
-/// during the flap's down window, a non-empty convergence-lag
-/// histogram, and the final FIB matching a RIB oracle built from the
-/// parsed trace — route for route.
-fn bgp(ctx: &mut Ctx, opts: &BgpOpts) {
-    use poptrie::sync::SharedFib;
-    use poptrie_bgp::wire::Message;
-    use poptrie_bgp::{Event, NextHopInterner, Session, SessionConfig, State};
-    use poptrie_engine::{Engine, EngineConfig};
-    use poptrie_rib::{NextHop, Prefix, RadixTree, NO_ROUTE};
-    use std::net::IpAddr;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    // Fixture emission is its own mode: write the deterministic trace CI
-    // replays and exit.
-    if let Some(path) = &opts.write_fixture {
-        let trace = synth_bgp_trace(48, 36, 0xB9F0_57A6);
-        let (a, w) = trace.accounting();
-        if let Err(e) = std::fs::write(path, trace.encode()) {
-            eprintln!("error: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "wrote {path}: {} BGP4MP records ({a} announced, {w} withdrawn)",
-            trace.records.len()
-        );
-        return;
-    }
-
-    section("BGP control-plane replay: session FSM -> engine writer, with mid-replay flap");
-    let (source, trace) = match &opts.mrt {
-        Some(path) => {
-            let bytes = match std::fs::read(path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: could not read {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match tablegen::mrt::parse_bgp4mp(&bytes) {
-                Ok(t) => (path.clone(), t),
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => {
-            let (n_base, n_churn) = if ctx.quick {
-                (2_000, 1_000)
-            } else {
-                (20_000, 10_000)
-            };
-            (
-                "synthetic".to_string(),
-                synth_bgp_trace(n_base, n_churn, 0xB9F0_0001),
-            )
-        }
-    };
-    if trace.records.is_empty() {
-        eprintln!("error: trace has no BGP4MP message records");
-        std::process::exit(1);
-    }
-    let (expect_announced, expect_withdrawn) = trace.accounting();
-    println!(
-        "[bgp] {source}: {} records, {expect_announced} announces, {expect_withdrawn} withdraws",
-        trace.records.len()
-    );
-
-    // The RIB oracle: every parseable v4 route applied in trace order,
-    // with next hops densified exactly as the replay does.
-    let mut oracle: RadixTree<u32, NextHop> = RadixTree::new();
-    let mut oracle_interner = NextHopInterner::new();
-    let mut touched: std::collections::HashSet<Prefix<u32>> = std::collections::HashSet::new();
-    let mut v6_routes = 0u64;
-    for r in &trace.records {
-        if let Ok(Message::Update(u)) = r.parse() {
-            v6_routes += (u.announced_v6.len() + u.withdrawn_v6.len()) as u64;
-            if let Some(nh) = u.next_hop_v4 {
-                let id = oracle_interner.intern(IpAddr::V4(nh));
-                for p in &u.announced_v4 {
-                    oracle.insert(*p, id);
-                    touched.insert(*p);
-                }
-            }
-            for p in &u.withdrawn_v4 {
-                oracle.remove(*p);
-                touched.insert(*p);
-            }
-        }
-    }
-    if v6_routes > 0 {
-        println!("[bgp] note: {v6_routes} IPv6 routes in the trace are not replayed (v4 engine)");
-    }
-
-    // Engine over an initially empty FIB: the trace's full-table
-    // announcement *is* the table.
-    let pcfg = PoptrieConfig::new().direct_bits(18).build().unwrap();
-    let fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::compile(RadixTree::new(), pcfg));
-    let engine = Engine::start(
-        Arc::clone(&fib),
-        EngineConfig::new(opts.threads.max(1))
-            .pin_workers(false)
-            .control_capacity(8192)
-            .coalesce_window(512),
-    );
-    let control = engine.control();
-    let telemetry = engine.telemetry();
-
-    // Lookup feeder: keeps the dataplane busy for the whole replay,
-    // including the flap's down window.
-    let stop = Arc::new(AtomicBool::new(false));
-    let feeder = {
-        let ingress = engine.ingress();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut x = 0x9E37_79B9_u32;
-            let pool: Vec<Arc<[u32]>> = (0..64)
-                .map(|_| {
-                    let keys: Vec<u32> = (0..4096)
-                        .map(|_| {
-                            x ^= x << 13;
-                            x ^= x >> 17;
-                            x ^= x << 5;
-                            x
-                        })
-                        .collect();
-                    Arc::from(keys)
-                })
-                .collect();
-            let mut i = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                if ingress
-                    .try_submit(Arc::clone(&pool[i % pool.len()]))
-                    .is_err()
-                {
-                    std::thread::sleep(Duration::from_micros(20));
-                }
-                i += 1;
-            }
-        })
-    };
-
-    // The session under test. Short, test-scale retry timers so the
-    // flap's backoff costs milliseconds, not seconds.
-    let retry_base = if ctx.quick { 5_000_000 } else { 20_000_000 };
-    let mut session = Session::new(SessionConfig {
-        retry_base,
-        retry_max: retry_base * 16,
-        jitter_seed: 0x51F0_0D11,
-        ..SessionConfig::default()
-    });
-    let stats = session.stats();
-    let started = Instant::now();
-    let now_ns = |started: &Instant| started.elapsed().as_nanos() as u64;
-    let keepalive = Message::Keepalive.encode();
-
-    let mut interner = NextHopInterner::new();
-    let mut sent_updates = 0u64;
-    // Drain session events and forward route events into the engine's
-    // control channel, retrying when the bounded channel pushes back
-    // (correctness needs every update to land).
-    let mut pump = |session: &mut Session, sent: &mut u64| {
-        session.drain_actions(); // OPEN/KEEPALIVE/NOTIFICATION tx: no wire to write to
-        for ev in session.drain_events() {
-            if let Event::Routes { span, routes } = ev {
-                *sent += forward_routes(&control, &mut interner, span, routes);
-            }
-        }
-    };
-    let handshake = |session: &mut Session, started: &Instant| {
-        session.connected(now_ns(started));
-        session.recv(now_ns(started), &peer_open());
-        session.recv(now_ns(started), &keepalive);
-        assert_eq!(session.state(), State::Established, "handshake failed");
-    };
-
-    session.start(now_ns(&started));
-    handshake(&mut session, &started);
-    pump(&mut session, &mut sent_updates);
-
-    // Replay phase 1: messages up to the flap point, then tear the wire
-    // mid-message.
-    let offsets = trace.replay_offsets_us(opts.speedup);
-    let cut = if trace.records.len() >= 8 {
-        trace.records.len() / 2
-    } else {
-        trace.records.len() // too short to flap
-    };
-    let deliver = |session: &mut Session,
-                   sent: &mut u64,
-                   pump: &mut dyn FnMut(&mut Session, &mut u64),
-                   range: std::ops::Range<usize>,
-                   started: &Instant| {
-        for i in range {
-            if opts.speedup > 0.0 {
-                let due = Duration::from_micros(offsets[i]);
-                while started.elapsed() < due {
-                    std::hint::spin_loop();
-                }
-            }
-            session.recv(now_ns(started), &trace.records[i].message);
-            session.tick(now_ns(started));
-            pump(session, sent);
-        }
-    };
-    deliver(&mut session, &mut sent_updates, &mut pump, 0..cut, &started);
-
-    let mut flapped = false;
-    let mut staleness_ns_max = 0u64;
-    let mut down_window_lookups = 0u64;
-    if cut < trace.records.len() {
-        flapped = true;
-        // Half the cut record arrives, then the transport dies.
-        let msg = &trace.records[cut].message;
-        session.recv(now_ns(&started), &msg[..msg.len() / 2]);
-        assert!(session.mid_message(), "flap must land mid-message");
-        let packets_at_cut = telemetry.total_packets();
-        let down_at = Instant::now();
-        session.disconnected(now_ns(&started));
-        pump(&mut session, &mut sent_updates);
-        // Honor the ConnectRetry backoff on the real clock, publishing
-        // staleness while the FIB serves the pre-flap snapshot. The
-        // down window is held open for at least 50ms so the bench can
-        // observe lookups served against the stale snapshot.
-        let min_down = Duration::from_millis(50);
-        loop {
-            let stale = down_at.elapsed().as_nanos() as u64;
-            stats.staleness_ns.set(stale);
-            staleness_ns_max = staleness_ns_max.max(stale);
-            session.tick(now_ns(&started));
-            if session.state() == State::Connect && down_at.elapsed() >= min_down {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        handshake(&mut session, &started);
-        pump(&mut session, &mut sent_updates);
-        down_window_lookups = telemetry.total_packets() - packets_at_cut;
-        // Replay phase 2: the peer (per RFC 4271) re-sends everything
-        // from the first message the flap swallowed.
-        deliver(
-            &mut session,
-            &mut sent_updates,
-            &mut pump,
-            cut..trace.records.len(),
-            &started,
-        );
-        stats.staleness_ns.set(0);
-    }
-    let replay_elapsed = started.elapsed();
-    assert_eq!(session.state(), State::Established);
-
-    // Let the writer drain everything we sent, then stop.
-    let drain_deadline = Instant::now() + Duration::from_secs(10);
-    while telemetry.update_events.get() < sent_updates && Instant::now() < drain_deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    stop.store(true, Ordering::Relaxed);
-    let _ = feeder.join();
-    let report = engine.shutdown(Duration::from_secs(30));
-
-    // Oracle check: every touched prefix plus a seeded probe sweep must
-    // agree between the served FIB and the RIB oracle.
-    let mut mismatches = 0u64;
-    let mut checked = 0u64;
-    let mut probe = 0xDEAD_BEEF_u32;
-    let probes = (0..4096).map(|_| {
-        probe ^= probe << 13;
-        probe ^= probe >> 17;
-        probe ^= probe << 5;
-        probe
-    });
-    for key in touched.iter().map(|p| p.first_addr()).chain(probes) {
-        let want = oracle.lookup(key).copied().unwrap_or(NO_ROUTE);
-        let got = fib.lookup(key).unwrap_or(NO_ROUTE);
-        checked += 1;
-        if want != got {
-            if mismatches < 8 {
-                eprintln!("FAIL oracle mismatch at {key:#010x}: fib {got}, oracle {want}");
-            }
-            mismatches += 1;
-        }
-    }
-
-    let announced = stats.routes_announced.get();
-    let withdrawn = stats.routes_withdrawn.get();
-    let updates_per_sec = stats.updates_rx.get() as f64 / replay_elapsed.as_secs_f64();
-    let lookups_per_sec = report.packets as f64 / report.elapsed.as_secs_f64();
-    let mut t = Table::new(vec!["Metric", "Value"]);
-    t.row(vec![
-        "updates replayed".into(),
-        stats.updates_rx.get().to_string(),
-    ]);
-    t.row(vec![
-        "updates/s sustained".into(),
-        format!("{updates_per_sec:.0}"),
-    ]);
-    t.row(vec![
-        "convergence p50/p99/p99.9 [us]".into(),
-        format!(
-            "{:.1} / {:.1} / {:.1}",
-            report.convergence.p50_ns as f64 / 1e3,
-            report.convergence.p99_ns as f64 / 1e3,
-            report.convergence.p999_ns as f64 / 1e3
-        ),
-    ]);
-    t.row(vec!["lookups served".into(), report.packets.to_string()]);
-    t.row(vec!["lookups/s".into(), format!("{:.0}", lookups_per_sec)]);
-    t.row(vec![
-        "lookups in down window".into(),
-        down_window_lookups.to_string(),
-    ]);
-    t.row(vec![
-        "session resets / reconnects".into(),
-        format!("{} / {}", stats.resets.get(), stats.to_established.get()),
-    ]);
-    t.row(vec![
-        "backoff applied [ms]".into(),
-        format!("{:.1}", stats.backoff_ns.get() as f64 / 1e6),
-    ]);
-    t.row(vec![
-        "staleness max [ms]".into(),
-        format!("{:.1}", staleness_ns_max as f64 / 1e6),
-    ]);
-    t.row(vec!["oracle prefixes checked".into(), checked.to_string()]);
-    print!("{}", t.render());
-    print!("{}", stats.registry().render_prometheus());
-
-    // The gates. Every one is a hard failure: this subcommand is the CI
-    // smoke proof that the BGP path is lossless end to end.
-    let mut failures: Vec<String> = Vec::new();
-    if announced != expect_announced || withdrawn != expect_withdrawn {
-        failures.push(format!(
-            "accounting: session saw {announced}a/{withdrawn}w, trace has \
-             {expect_announced}a/{expect_withdrawn}w"
-        ));
-    }
-    if stats.parse_errors.get() != 0 {
-        failures.push(format!("{} parse errors", stats.parse_errors.get()));
-    }
-    if telemetry.update_events.get() != sent_updates {
-        failures.push(format!(
-            "writer drained {} of {sent_updates} updates",
-            telemetry.update_events.get()
-        ));
-    }
-    if report.convergence.samples == 0 {
-        failures.push("convergence-lag histogram is empty".into());
-    }
-    if mismatches != 0 {
-        failures.push(format!(
-            "{mismatches} oracle mismatches of {checked} checked"
-        ));
-    }
-    if report.packets == 0 {
-        failures.push("no lookups served during replay".into());
-    }
-    if flapped {
-        if stats.resets.get() != 1 || stats.to_established.get() != 2 {
-            failures.push(format!(
-                "flap shape: {} resets, {} establishments (want 1 and 2)",
-                stats.resets.get(),
-                stats.to_established.get()
-            ));
-        }
-        if down_window_lookups == 0 {
-            failures.push("no lookups served during the down window".into());
-        }
-    }
-
-    let doc = json!({
-        "experiment": "bgp", "source": source.as_str(), "quick": ctx.quick,
-        "records": trace.records.len(), "speedup": opts.speedup,
-        "expected": json!({"announced": expect_announced, "withdrawn": expect_withdrawn}),
-        "observed": json!({
-            "announced": announced, "withdrawn": withdrawn, "updates": stats.updates_rx.get(),
-        }),
-        "updates_per_sec": updates_per_sec, "convergence_ns": &report.convergence,
-        "lookups": report.packets, "lookups_per_sec": lookups_per_sec,
-        "flap": json!({
-            "enabled": flapped, "cut_record": cut, "resets": stats.resets.get(),
-            "reconnects": stats.to_established.get(), "backoff_ns": stats.backoff_ns.get(),
-            "staleness_ns_max": staleness_ns_max, "down_window_lookups": down_window_lookups,
-        }),
-        "oracle": json!({"checked": checked, "mismatches": mismatches}),
-        "engine": json!({
-            "publishes": report.publishes, "update_events": report.update_events,
-            "updates_coalesced": report.updates_coalesced,
-            "writer_respawns": report.writer_respawns,
-        }),
-    });
-    emit(
-        "BENCH_bgp.json",
-        &doc,
-        &[
-            "/experiment",
-            "/updates_per_sec",
-            "/convergence_ns/p50_ns",
-            "/convergence_ns/p99_ns",
-            "/convergence_ns/p999_ns",
-            "/lookups_per_sec",
-            "/flap",
-            "/oracle",
-        ],
-    );
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("error: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "[bgp] OK: lossless replay, {} updates, flap survived with exact reconvergence",
-        sent_updates
-    );
-}
-
 // ----------------------------------------------------------------- fig 11
 
 fn fig11(ctx: &mut Ctx) {
@@ -2568,467 +1327,14 @@ fn batch(ctx: &mut Ctx) {
 
 // ------------------------------------------------------------ diagnostics
 
-/// `repro stats`: with a dataset argument, structural diagnostics of the
-/// dataset; with none, the live-telemetry replay (`observe` feature).
-/// `repro trace [--quick] [--threads N]`: the flight-recorder run.
-///
-/// Three phases:
-///
-/// 1. **Perf attribution.** Traffic against REAL-Tier1-A is partitioned
-///    by [`poptrie::telemetry::LookupPhase`] (direct-point hit vs. trie
-///    descent) and each partition is measured per dispatch tier under a
-///    `perf_event_open` counter group, attributing cycles,
-///    instructions, L1d/LLC read misses and branch misses per lookup to
-///    each phase. The partition is cross-checked against the phase
-///    split of the live lookup counters — a mismatch means the
-///    instrumentation lies, and exits nonzero.
-/// 2. **Convergence spans.** A BGP session replays a synthetic UPDATE
-///    trace into a recorder-equipped engine; every accepted span must
-///    surface as writer apply, a publish of its version and a worker
-///    snapshot adoption covering it. The drained rings export as Chrome
-///    trace-event JSON (`results/BENCH_trace_events.json`, loadable in
-///    Perfetto).
-/// 3. **Overhead.** The same lookup workload runs with the recorder
-///    absent and attached at 1-in-64 sampling; the throughput delta is
-///    the price of leaving the recorder on.
-///
-/// Everything lands in `results/BENCH_trace.json`; a malformed document
-/// or a broken span chain exits nonzero so CI can gate on it.
-#[cfg(feature = "observe")]
-fn trace_cmd(ctx: &mut Ctx, threads: usize) {
-    use poptrie::sync::SharedFib;
-    use poptrie::telemetry::{self, LookupPhase};
-    use poptrie::BatchBackend;
-    use poptrie_bgp::wire::Message;
-    use poptrie_bgp::{Event, NextHopInterner, Session, SessionConfig, State};
-    use poptrie_engine::{Engine, EngineConfig};
-    use poptrie_rib::RadixTree;
-    use poptrie_trace::{
-        chrome_trace_json, EventKind, PerfCounts, PerfGroup, Recorder,
-        TraceConfig as RecorderConfig,
-    };
-    use std::collections::{HashMap, HashSet};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    section("Flight recorder: perf attribution, convergence spans, recorder overhead");
-    let mut gate_failures = 0u32;
-
-    // ------------------------------------------------- phase attribution
-    let dataset = ctx.dataset("REAL-Tier1-A").clone();
-    let pcfg = PoptrieConfig::new().direct_bits(18).build().unwrap();
-    let mut fib = Fib::compile(dataset.to_rib(), pcfg);
-    let trace = RealTrace::synthesize(&dataset, TraceConfig::default());
-    let packets = trace.packet_array(if ctx.quick { 1 << 16 } else { 1 << 19 });
-
-    let mut direct_keys: Vec<u32> = Vec::new();
-    let mut descent_keys: Vec<u32> = Vec::new();
-    for &k in &packets {
-        match fib.poptrie().lookup_phase(k) {
-            LookupPhase::Direct => direct_keys.push(k),
-            LookupPhase::Descent(_) => descent_keys.push(k),
-        }
-    }
-    println!(
-        "[trace] {} packets: {} direct-point hits, {} trie descents",
-        packets.len(),
-        direct_keys.len(),
-        descent_keys.len()
-    );
-
-    let mut tiers = vec![BatchBackend::Scalar];
-    for t in [BatchBackend::Avx2, BatchBackend::Avx512] {
-        if t.is_available() {
-            tiers.push(t);
-        }
-    }
-
-    // Cross-check the live lookup counters against the static partition
-    // on every tier: each key must be counted exactly once, on the same
-    // side `lookup_phase` predicted, by scalar and SIMD walkers alike.
-    // The artifact's mean descent depth is the scalar walker's.
-    let mut mean_descent_depth = 0.0;
-    for &tier in &tiers {
-        fib.set_batch_backend(tier);
-        telemetry::reset();
-        let mut out = vec![0 as poptrie::NextHop; packets.len()];
-        fib.poptrie().lookup_batch(&packets, &mut out);
-        let ts = telemetry::snapshot();
-        if tier == BatchBackend::Scalar {
-            mean_descent_depth = ts.mean_descent_depth();
-        }
-        let ok = ts.direct_hits == direct_keys.len() as u64
-            && ts.descents() == descent_keys.len() as u64;
-        println!(
-            "[trace] phase counters on {:<6}: {} direct, {} descents (mean depth {:.2})  {}",
-            tier.name(),
-            ts.direct_hits,
-            ts.descents(),
-            ts.mean_descent_depth(),
-            if ok { "ok" } else { "MISMATCH" }
-        );
-        if !ok {
-            gate_failures += 1;
-        }
-    }
-
-    // One measured cell: `rounds` batched passes over `keys` under the
-    // perf counter group, timed with the monotonic clock as well so a
-    // PMU-less host still reports cycles via the TSC calibration.
-    fn measure_cell(fib: &Fib<u32>, keys: &[u32], target: usize) -> (u64, f64, Option<PerfCounts>) {
-        let rounds = (target / keys.len().max(1)).max(1);
-        let mut out = vec![0 as poptrie::NextHop; keys.len()];
-        let t0 = Instant::now();
-        let ((), counts) = PerfGroup::measure(|| {
-            for _ in 0..rounds {
-                fib.poptrie().lookup_batch(keys, &mut out);
-            }
-        });
-        let ns = t0.elapsed().as_nanos() as f64;
-        ((keys.len() * rounds) as u64, ns, counts)
-    }
-
-    let target = if ctx.quick { 1 << 18 } else { 1 << 21 };
-    let mut phases = Vec::new();
-    println!(
-        "\n{:<10} {:<8} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "phase", "tier", "lookups", "ns/lkp", "cyc/lkp", "L1d/lkp", "LLC/lkp"
-    );
-    for (pname, keys) in [("direct", &direct_keys), ("descent", &descent_keys)] {
-        let mut by_tier = Vec::new();
-        for &tier in &tiers {
-            if keys.is_empty() {
-                by_tier.push((tier.name().to_string(), Json::Null));
-                continue;
-            }
-            fib.set_batch_backend(tier);
-            let (lookups, ns, counts) = measure_cell(&fib, keys, target);
-            let per = |pick: fn(&PerfCounts) -> Option<u64>| {
-                counts
-                    .as_ref()
-                    .and_then(pick)
-                    .map(|v| v as f64 / lookups as f64)
-            };
-            let ns_per = ns / lookups as f64;
-            // No PMU: fall back to wall time times the TSC calibration.
-            let cycles = per(|c| c.cycles).unwrap_or(ns_per * poptrie_cycles::tsc::cycles_per_ns());
-            let cell = json!({
-                "lookups": lookups, "ns_per_lookup": ns_per, "cycles_per_lookup": cycles,
-                "instructions_per_lookup": per(|c| c.instructions),
-                "l1d_misses_per_lookup": per(|c| c.l1d_misses),
-                "llc_misses_per_lookup": per(|c| c.llc_misses),
-                "branch_misses_per_lookup": per(|c| c.branch_misses),
-                "perf_counters": counts.is_some(),
-            });
-            by_tier.push((tier.name().to_string(), cell));
-            let f = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.3}"));
-            println!(
-                "{:<10} {:<8} {:>12} {:>10.2} {:>10} {:>10} {:>10}",
-                pname,
-                tier.name(),
-                lookups,
-                ns_per,
-                f(per(|c| c.cycles)),
-                f(per(|c| c.l1d_misses)),
-                f(per(|c| c.llc_misses)),
-            );
-        }
-        phases.push((pname.to_string(), Json::Object(by_tier)));
-    }
-    if PerfGroup::open().is_none() {
-        println!(
-            "[trace] note: no PMU access (perf_event_paranoid/container); cycles are TSC-derived"
-        );
-    }
-
-    // --------------------------------------------- cross-layer span run
-    println!();
-    let rec = Recorder::new(RecorderConfig {
-        capacity: 1 << 15,
-        sample: 1,
-    });
-    let bgp_ring = rec.register("bgp");
-    let span_fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::compile(RadixTree::new(), pcfg));
-    let engine = Engine::start(
-        Arc::clone(&span_fib),
-        EngineConfig::new(threads.max(1))
-            .pin_workers(false)
-            .control_capacity(8192)
-            .coalesce_window(64)
-            .recorder(rec.clone()),
-    );
-    let control = engine.control();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let feeder = {
-        let ingress = engine.ingress();
-        let stop = Arc::clone(&stop);
-        let keys: Arc<[u32]> = Arc::from(packets[..packets.len().min(4096)].to_vec());
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if ingress.try_submit(Arc::clone(&keys)).is_err() {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-        })
-    };
-
-    fn state_code(s: State) -> u64 {
-        match s {
-            State::Idle => 0,
-            State::Connect => 1,
-            State::OpenSent => 2,
-            State::OpenConfirm => 3,
-            State::Established => 4,
-        }
-    }
-
-    let (n_base, n_churn) = if ctx.quick {
-        (400, 300)
-    } else {
-        (4_000, 2_000)
-    };
-    let bgp_trace = synth_bgp_trace(n_base, n_churn, 0xF11C_47B1);
-    let mut session = Session::new(SessionConfig::default());
-    let started = Instant::now();
-    let now_ns = |s: &Instant| s.elapsed().as_nanos() as u64;
-    let mut last_state = session.state();
-    let mut interner = NextHopInterner::new();
-    let mut accepted_routes = 0u64;
-
-    {
-        let mut step = |session: &mut Session| {
-            session.drain_actions();
-            let s = session.state();
-            if s != last_state {
-                bgp_ring.record(
-                    EventKind::BgpTransition,
-                    0,
-                    state_code(s),
-                    state_code(last_state) as u32,
-                );
-                last_state = s;
-            }
-            for ev in session.drain_events() {
-                if let Event::Routes { span, routes } = ev {
-                    bgp_ring.record(EventKind::SpanAccept, span, routes.len() as u64, 0);
-                    accepted_routes += forward_routes(&control, &mut interner, span, routes);
-                }
-            }
-        };
-        session.start(now_ns(&started));
-        session.connected(now_ns(&started));
-        step(&mut session);
-        session.recv(now_ns(&started), &peer_open());
-        step(&mut session);
-        session.recv(now_ns(&started), &Message::Keepalive.encode());
-        step(&mut session);
-        assert_eq!(session.state(), State::Established, "handshake failed");
-        for r in &bgp_trace.records {
-            session.recv(now_ns(&started), &r.message);
-            step(&mut session);
-        }
-    }
-    let spans_allocated = session.spans_allocated();
-
-    // Let the writer drain, then touch every worker so each adopts the
-    // final snapshot version (the last link of every span chain).
-    while control.pending() > 0 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    std::thread::sleep(Duration::from_millis(20));
-    let tail: Arc<[u32]> = Arc::from(packets[..packets.len().min(1024)].to_vec());
-    for w in 0..engine.workers() {
-        let mut batch = Arc::clone(&tail);
-        while let Err(back) = engine.ingress().try_submit_to(w, batch) {
-            batch = back;
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    }
-    std::thread::sleep(Duration::from_millis(20));
-    stop.store(true, Ordering::Relaxed);
-    feeder.join().expect("feeder panicked");
-    engine.shutdown(Duration::from_secs(30));
-
-    let rings = rec.drain();
-    let (mut recorded, mut overwritten, mut sampled_out) = (0u64, 0u64, 0u64);
-    for r in &rings {
-        recorded += r.recorded;
-        overwritten += r.overwritten;
-        sampled_out += r.sampled_out;
-    }
-    let mut accepted: HashSet<u64> = HashSet::new();
-    let mut applied: HashMap<u64, u64> = HashMap::new();
-    let mut published: HashSet<u64> = HashSet::new();
-    let mut adopted_max = 0u64;
-    for ring in &rings {
-        for ev in &ring.events {
-            match ev.event_kind() {
-                Some(EventKind::SpanAccept) => {
-                    accepted.insert(ev.span);
-                }
-                Some(EventKind::UpdateApply) => {
-                    applied.insert(ev.span, ev.arg);
-                }
-                Some(EventKind::Publish) => {
-                    published.insert(ev.arg);
-                }
-                Some(EventKind::SnapshotAdopt) => adopted_max = adopted_max.max(ev.arg),
-                _ => {}
-            }
-        }
-    }
-    let applied_of_accepted = accepted.iter().filter(|s| applied.contains_key(s)).count();
-    let publishes = published.len();
-    let served = applied.values().filter(|&&v| v <= adopted_max).count();
-    let unpublished = applied.values().filter(|v| !published.contains(v)).count();
-    println!(
-        "[trace] spans: {spans_allocated} allocated, {} accepted, {applied_of_accepted} applied, \
-         {served} covered by an adopted snapshot (max adopted version {adopted_max}, \
-         {publishes} publishes, {unpublished} applied versions without one)",
-        accepted.len()
-    );
-    println!(
-        "[trace] rings: {} rings, {recorded} events recorded, {overwritten} overwritten, \
-         {sampled_out} sampled out",
-        rings.len()
-    );
-    // The continuity gate only holds when nothing was overwritten (the
-    // rings are sized for this workload, so overwrite means a bug or a
-    // --full-scale rerun with undersized rings — warn, don't lie).
-    if overwritten == 0 {
-        let complete = accepted.len() as u64 == spans_allocated
-            && applied_of_accepted == accepted.len()
-            && unpublished == 0
-            && served == applied.len();
-        println!(
-            "[trace] span continuity (accept -> apply -> publish -> adopt): {}",
-            if complete { "ok" } else { "BROKEN" }
-        );
-        if !complete {
-            gate_failures += 1;
-        }
-    } else {
-        println!("[trace] span continuity: skipped ({overwritten} events overwritten)");
-    }
-
-    let chrome = emit(
-        "BENCH_trace_events.json",
-        &chrome_trace_json(&rings),
-        &["/traceEvents"],
-    );
-    let has = |name: &str| {
-        let events = chrome.pointer("/traceEvents").and_then(Json::as_array);
-        let is_named = |ev: &Json| ev.get("name").and_then(Json::as_str) == Some(name);
-        events.unwrap_or_default().iter().any(is_named)
-    };
-    if !(has("trace/lookup_batch") && has("trace/span_accept")) {
-        eprintln!("error: results/BENCH_trace_events.json lacks lookup or span-accept events");
-        std::process::exit(1);
-    }
-    println!("(load results/BENCH_trace_events.json in https://ui.perfetto.dev)");
-
-    // ------------------------------------------------- recorder overhead
-    fn engine_mlps(
-        fib: &Arc<SharedFib<u32>>,
-        threads: usize,
-        recorder: Option<Recorder>,
-        batches: usize,
-        pool: &[Arc<[u32]>],
-    ) -> f64 {
-        let mut cfg = EngineConfig::new(threads).pin_workers(false);
-        if let Some(r) = recorder {
-            cfg = cfg.recorder(r);
-        }
-        let engine = Engine::start(Arc::clone(fib), cfg);
-        let ingress = engine.ingress();
-        let t0 = Instant::now();
-        for i in 0..batches {
-            let mut batch = Arc::clone(&pool[i % pool.len()]);
-            while let Err(back) = ingress.try_submit(batch) {
-                batch = back;
-                std::thread::sleep(Duration::from_micros(20));
-            }
-        }
-        let report = engine.shutdown(Duration::from_secs(120));
-        report.packets as f64 / t0.elapsed().as_secs_f64() / 1e6
-    }
-
-    let overhead_sample = 64u64;
-    let bench_fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::compile(dataset.to_rib(), pcfg));
-    let pool: Vec<Arc<[u32]>> = packets
-        .chunks(4096)
-        .take(16)
-        .map(|c| Arc::from(c.to_vec()))
-        .collect();
-    let batches = if ctx.quick { 500 } else { 4_000 };
-    // One discarded warmup (page cache, thread spawn, frequency ramp),
-    // then best-of-two per configuration: engine start/stop noise at
-    // this scale otherwise dwarfs the effect being measured.
-    engine_mlps(&bench_fib, threads.max(1), None, batches / 4, &pool);
-    let run_traced = || {
-        engine_mlps(
-            &bench_fib,
-            threads.max(1),
-            Some(Recorder::new(RecorderConfig {
-                capacity: 4096,
-                sample: overhead_sample,
-            })),
-            batches,
-            &pool,
-        )
-    };
-    let run_base = || engine_mlps(&bench_fib, threads.max(1), None, batches, &pool);
-    let baseline_mlps = run_base().max(run_base());
-    let traced_mlps = run_traced().max(run_traced());
-    let overhead_pct = (1.0 - traced_mlps / baseline_mlps) * 100.0;
-    println!(
-        "\n[trace] recorder overhead at 1-in-{overhead_sample} sampling: \
-         {baseline_mlps:.2} Mlps untraced vs {traced_mlps:.2} Mlps traced ({overhead_pct:+.2}%)"
-    );
-
-    // ------------------------------------------------------ the artifact
-    let doc = json!({
-        "schema": "poptrie-trace/1", "quick": ctx.quick, "threads": threads.max(1),
-        "phases": Json::Object(phases), "mean_descent_depth": mean_descent_depth,
-        "spans": json!({
-            "allocated": spans_allocated, "accepted": accepted.len(),
-            "applied": applied_of_accepted, "served": served,
-            "publishes": publishes,
-            "routes": accepted_routes,
-        }),
-        "events": json!({
-            "rings": rings.len(), "recorded": recorded, "overwritten": overwritten,
-            "sampled_out": sampled_out,
-        }),
-        "overhead": json!({
-            "sample": overhead_sample, "baseline_mlps": baseline_mlps,
-            "traced_mlps": traced_mlps, "overhead_pct": overhead_pct,
-        }),
-    });
-    emit(
-        "BENCH_trace.json",
-        &doc,
-        &[
-            "/phases/descent/scalar/cycles_per_lookup",
-            "/phases/descent/scalar/l1d_misses_per_lookup",
-            "/spans",
-            "/overhead/overhead_pct",
-        ],
-    );
-
-    if gate_failures > 0 {
-        eprintln!("{gate_failures} trace gate failure(s)");
-        std::process::exit(1);
-    }
-}
-
+/// `repro stats <dataset>`: structural diagnostics of the dataset.
 fn stats(ctx: &mut Ctx, args: &[String]) {
-    let unified = args.iter().any(|a| a == "--prometheus");
-    match args.iter().filter(|a| !a.starts_with("--")).nth(1).cloned() {
-        Some(name) => dataset_stats(ctx, &name),
-        None => telemetry_stats(ctx, unified),
+    match args.iter().filter(|a| !a.starts_with("--")).nth(1) {
+        Some(name) => dataset_stats(ctx, name),
+        None => {
+            eprintln!("usage: repro stats <dataset|SYN1-...|SYN2-...>");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -3097,254 +1403,6 @@ fn dataset_stats(ctx: &mut Ctx, name: &str) {
         Err(e) => println!("SAIL: N/A ({e})"),
     }
 }
-
-/// The live-telemetry replay: a seeded lookup + churn workload against a
-/// `SharedFib`, with every process-wide counter reconciled against what
-/// the script did, a Prometheus-format dump, and a machine-readable
-/// `results/BENCH_telemetry.json`. The churn phase is the Fig. 12 regime
-/// (lookups served while updates land); the reconciliation is the
-/// acceptance check that the instrumentation counts what it claims to.
-///
-/// With `--prometheus` the dump additionally exercises the forwarding
-/// engine and a BGP session and merges their registries into the core
-/// FIB registry, so one scrape covers the whole stack
-/// (`poptrie_*` + `poptrie_engine_*` + `poptrie_bgp_*`).
-#[cfg(feature = "observe")]
-fn telemetry_stats(ctx: &mut Ctx, unified: bool) {
-    use poptrie::sync::SharedFib;
-    use poptrie::telemetry;
-
-    section("Live telemetry: seeded lookup + churn replay (REAL-RENET)");
-    telemetry::reset();
-    let dataset = ctx.dataset("REAL-RENET").clone();
-    let shared = SharedFib::compile(
-        dataset.to_rib(),
-        PoptrieConfig::new()
-            .direct_bits(18)
-            .aggregate(false)
-            .build()
-            .unwrap(),
-    );
-
-    // Lookup phase: half the trace scalar, half batched, one snapshot.
-    let trace = RealTrace::synthesize(&dataset, TraceConfig::default());
-    let packets = trace.packet_array(if ctx.quick { 1 << 16 } else { 1 << 20 });
-    let half = packets.len() / 2;
-    let snap = shared.snapshot();
-    let mut acc = 0u64;
-    for &k in &packets[..half] {
-        acc = acc.wrapping_add(snap.lookup_raw(k) as u64);
-    }
-    let mut out = vec![0 as poptrie::NextHop; packets.len() - half];
-    snap.lookup_batch(&packets[half..], &mut out);
-    acc = acc.wrapping_add(out.iter().map(|&nh| nh as u64).sum::<u64>());
-    drop(snap);
-
-    // Churn phase: an adversarial seeded stream through the RCU writer,
-    // with a reader parked on a pre-churn snapshot for the first half so
-    // the outstanding-snapshot gauge sees real pinning.
-    let events = churn_stream::<u32>(&ChurnConfig {
-        seed: 0xF1612,
-        events: if ctx.quick { 2_000 } else { 20_000 },
-        direct_bits: 18,
-        ..ChurnConfig::default()
-    });
-    let parked = shared.snapshot();
-    let (mut announces, mut withdraws, mut publishes) = (0u64, 0u64, 0u64);
-    for (i, ev) in events.iter().enumerate() {
-        if i == events.len() / 2 {
-            drop(shared.snapshot()); // touch, then release
-        }
-        match *ev {
-            ChurnEvent::Announce(p, nh) => {
-                // `SharedFib::insert` publishes unconditionally; the
-                // update counter moves only when the RIB changed.
-                if shared.insert(p, nh).unwrap().changed() {
-                    announces += 1;
-                }
-                publishes += 1;
-            }
-            ChurnEvent::Withdraw(p) => {
-                // A withdraw of an absent prefix publishes nothing.
-                if shared.remove(p).unwrap().changed() {
-                    withdraws += 1;
-                    publishes += 1;
-                }
-            }
-        }
-    }
-    drop(parked);
-
-    // Reconcile every scripted total against the counters.
-    // The node allocator's gauges live on the writer's trie.
-    let snap = shared.with_fib(|f| telemetry::snapshot().attach_structure(f.poptrie()));
-    let mut failures = 0u32;
-    let mut check = |label: &str, got: u64, want: u64| {
-        let ok = got == want;
-        println!(
-            "  {:<38} {:>12} want {:>12}  {}",
-            label,
-            got,
-            want,
-            if ok { "ok" } else { "MISMATCH" }
-        );
-        if !ok {
-            failures += 1;
-        }
-    };
-    println!("reconciliation (counter vs script):");
-    check("lookups (scalar)", snap.lookups_scalar, half as u64);
-    check(
-        "lookups (batched)",
-        snap.lookups_batched,
-        (packets.len() - half) as u64,
-    );
-    check(
-        "depth histogram mass",
-        snap.depth.iter().sum::<u64>(),
-        packets.len() as u64,
-    );
-    check(
-        "direct hits + leaf resolutions",
-        snap.direct_hits + snap.leafvec_resolutions + snap.vector_resolutions,
-        packets.len() as u64,
-    );
-    check("applied announces", snap.announces, announces);
-    check("applied withdraws", snap.withdraws, withdraws);
-    check(
-        "update latency histogram mass",
-        snap.update_latency.iter().sum::<u64>(),
-        announces + withdraws,
-    );
-    check("rcu publishes", snap.rcu_publishes, publishes);
-    println!(
-        "  (lookup checksum {acc:#x}, peak outstanding snapshots {})",
-        snap.rcu_outstanding_peak
-    );
-
-    println!();
-    let mut reg = snap.registry();
-    if unified {
-        println!("[stats] --prometheus: merging engine and BGP registries into the scrape");
-        reg.merge(whole_stack_registry(ctx.quick));
-    }
-    print!("{}", reg.render_prometheus());
-
-    println!();
-    emit(
-        "BENCH_telemetry.json",
-        &reg.render_json(),
-        &[
-            "/poptrie_lookups_total{mode=scalar}",
-            "/poptrie_rcu_publishes_total",
-        ],
-    );
-
-    if failures > 0 {
-        eprintln!("{failures} reconciliation mismatch(es)");
-        std::process::exit(1);
-    }
-}
-
-/// One scrape for the whole stack: briefly exercise the forwarding
-/// engine (lookups + one control-plane announce) and a BGP session
-/// (handshake + one UPDATE), then return their telemetry registries
-/// merged, so `repro stats --prometheus` emits core, engine and BGP
-/// metric families in a single Prometheus document.
-#[cfg(feature = "observe")]
-fn whole_stack_registry(quick: bool) -> poptrie_telemetry::TelemetryRegistry {
-    use poptrie::sync::SharedFib;
-    use poptrie_bgp::wire::{Message, UpdateMsg};
-    use poptrie_bgp::{Session, SessionConfig, State};
-    use poptrie_engine::{Engine, EngineConfig};
-    use poptrie_rib::{Prefix, RadixTree};
-    use std::net::Ipv4Addr;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    // A small FIB is enough: the point is populating every metric
-    // family, not load-testing.
-    let mut rib: RadixTree<u32, poptrie::NextHop> = RadixTree::new();
-    for i in 0..64u32 {
-        rib.insert(Prefix::new(i << 24, 8), (i % 8 + 1) as poptrie::NextHop);
-    }
-    let pcfg = PoptrieConfig::new().direct_bits(18).build().unwrap();
-    let fib: Arc<SharedFib<u32>> = Arc::new(SharedFib::compile(rib, pcfg));
-    let engine = Engine::start(Arc::clone(&fib), EngineConfig::new(2).pin_workers(false));
-    let ingress = engine.ingress();
-    let keys: Arc<[u32]> = Arc::from(
-        (0..1024u32)
-            .map(|i| i.wrapping_mul(0x9E37_79B9))
-            .collect::<Vec<u32>>(),
-    );
-    for _ in 0..(if quick { 8 } else { 64 }) {
-        let mut batch = Arc::clone(&keys);
-        while let Err(back) = ingress.try_submit(batch) {
-            batch = back;
-            std::thread::sleep(Duration::from_micros(20));
-        }
-    }
-    let control = engine.control();
-    let mut u = poptrie::sync::RouteUpdate::Announce(Prefix::new(0xC633_6400, 24), 3);
-    while let Err(back) = control.send(u) {
-        u = back;
-        std::thread::sleep(Duration::from_micros(20));
-    }
-    let engine_telemetry = engine.telemetry();
-    engine.shutdown(Duration::from_secs(10));
-    let mut reg = engine_telemetry.registry();
-
-    // The BGP side: an in-memory handshake plus one UPDATE populates the
-    // session, message and route counters.
-    let mut session = Session::new(SessionConfig::default());
-    let session_stats = session.stats();
-    session.start(0);
-    session.connected(1);
-    session.recv(2, &peer_open());
-    session.recv(3, &Message::Keepalive.encode());
-    debug_assert_eq!(session.state(), State::Established);
-    session.recv(
-        4,
-        &Message::Update(UpdateMsg {
-            announced_v4: vec![Prefix::new(0xCB00_7100, 24)],
-            next_hop_v4: Some(Ipv4Addr::new(192, 0, 2, 9)),
-            ..UpdateMsg::default()
-        })
-        .encode(),
-    );
-    session.drain_actions();
-    session.drain_events();
-    reg.merge(session_stats.registry());
-    reg
-}
-
-/// Without the `observe` feature neither the counters nor the recorder
-/// exist, so `repro trace` and the live `repro stats` replay cannot run;
-/// say how to get them and exit 2.
-#[cfg(not(feature = "observe"))]
-mod observe_stub {
-    use super::Ctx;
-
-    pub(super) fn trace_cmd(_ctx: &mut Ctx, _threads: usize) {
-        needs_observe("trace --quick");
-    }
-
-    pub(super) fn telemetry_stats(_ctx: &mut Ctx, _unified: bool) {
-        needs_observe("stats --quick");
-    }
-
-    fn needs_observe(cmd: &str) -> ! {
-        eprintln!(
-            "repro {cmd} needs the instrumentation compiled in:\n\
-             \n    cargo run --release -p poptrie-bench --features observe --bin repro -- {cmd}\n\
-             \nThe default build deliberately contains none (see DESIGN.md §7); \
-             `repro stats <dataset>` prints structural diagnostics without it."
-        );
-        std::process::exit(2);
-    }
-}
-#[cfg(not(feature = "observe"))]
-use observe_stub::{telemetry_stats, trace_cmd};
 
 // ----------------------------------------------------------------- §4.9
 

@@ -1,4 +1,4 @@
-//! Shared harness code for the `repro` binary and the Criterion benches.
+//! Shared harness code for the `repro` binary.
 //!
 //! The library half of `poptrie-bench` knows how to build every algorithm
 //! of the paper's evaluation from a dataset, measure lookup rates in Mlps

@@ -12,7 +12,7 @@
 //!
 //! The encode side builds canonical frames for the passive speaker's own
 //! OPEN/KEEPALIVE/NOTIFICATION traffic and for synthesizing UPDATE
-//! streams (fixtures, fuzz corpora, the `repro bgp` replay harness).
+//! streams (fixtures, fuzz corpora, test replays).
 
 use crate::error::{BgpError, BgpErrorKind};
 use poptrie_rib::Prefix;

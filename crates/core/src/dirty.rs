@@ -17,7 +17,6 @@ use core::ops::Range;
 use poptrie_bitops::Bits;
 use poptrie_buddy::Buddy;
 
-use crate::leaf_store::Epoch;
 use crate::node::NodeRepr;
 use crate::trie::PoptrieImpl;
 
@@ -165,14 +164,14 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
         self.dirty.clear();
     }
 
-    /// A snapshot of `src`, a writer's trie, pinned on `epoch`: its arrays
-    /// and scalar fields, and no node allocator or write marks (only the
-    /// writer reads those).
-    pub(crate) fn published_copy(&self, epoch: &Epoch) -> Self {
+    /// A snapshot of `self`, a writer's trie: its arrays, scalar fields
+    /// and an unpinned leaf store handle, and no node allocator or write
+    /// marks (only the writer reads those).
+    pub(crate) fn published_copy(&self) -> Self {
         PoptrieImpl {
             direct: self.direct.clone(),
             nodes: self.nodes.clone(),
-            store: self.store.pinned(epoch),
+            store: self.store.published(),
             node_buddy: Buddy::new(),
             root: self.root,
             inode_count: self.inode_count,
@@ -186,12 +185,12 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
 
     /// Bring `self`, a snapshot that lacks the lines of `src` marked in
     /// `stale`, up to date with `src`: copy those lines and the ones `src`
-    /// marked since, then every scalar field, and re-pin `self`'s leaf
-    /// store handle on `epoch` and the slab `src` reads. A whole-structure
+    /// marked since, then every scalar field, and point `self`'s leaf
+    /// store handle, unpinned, at the slab `src` reads. A whole-structure
     /// mark or a length mismatch copies the arrays in full, reusing
     /// `self`'s allocations. The node allocator and `self`'s own marks are
     /// left alone: only a writer's trie reads them.
-    pub(crate) fn sync_from(&mut self, src: &Self, stale: &DirtyLines, epoch: &Epoch) -> Copied
+    pub(crate) fn sync_from(&mut self, src: &Self, stale: &DirtyLines) -> Copied
     where
         N: PartialEq,
     {
@@ -208,7 +207,7 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
             copy_lines(&mut self.direct, &src.direct, &d.direct, &n.direct)
                 + copy_lines(&mut self.nodes, &src.nodes, &d.nodes, &n.nodes)
         };
-        self.store.sync_from(&src.store, epoch);
+        self.store.sync_from(&src.store);
         self.root = src.root;
         self.inode_count = src.inode_count;
         self.leaf_count = src.leaf_count;

@@ -15,15 +15,17 @@
 //!   it is.
 //! * **Reclamation.** An extent whose last reference goes is *retired*.
 //!   Its slots go back to the buddy only when no trie a reader can hold
-//!   may still resolve into it. Every such trie — a published snapshot, a
-//!   clone — *pins* a store epoch no later than the one current when it
-//!   was made; a writer's own trie pins nothing. An extent retired at
-//!   epoch E is freed once every pin of epoch E or older has dropped. A
-//!   publish pins its snapshot on an [`Epoch`]: a standalone publish opens
-//!   one of its own, and a VRF writer burst opens one before its first
-//!   update and pins every tenant snapshot it publishes on it. Retired
-//!   extents are collected when an epoch closes, and at once when no pin
-//!   is alive.
+//!   may still resolve into it. Such a trie *pins* a store epoch, and an
+//!   extent retired at epoch E is freed once every pin of epoch E or
+//!   older has dropped. A writer's own trie pins nothing, and neither
+//!   does a published snapshot while it is current: it reads only
+//!   extents its writer still references. The publish that retires it
+//!   opens an [`Epoch`] before its first update (a VRF writer burst opens
+//!   one for all the tenants it publishes) and pins the snapshot on it
+//!   first, so everything its writer releases from then on is held for
+//!   it. A clone shares the pin of the trie it copies, or pins the
+//!   store's current epoch when that trie has none. Retired extents are
+//!   collected when an epoch closes, and at once when no pin is alive.
 //! * **Growth.** When the buddy must grow, the store allocates a slab of
 //!   the new capacity, copies the old slots into it and swaps its slab
 //!   `Arc`. Every handle keeps reading the slab it holds. A writer picks
@@ -263,6 +265,11 @@ impl Ledger {
     /// Open the next epoch and pin it.
     fn open(&mut self) -> Arc<Pin> {
         self.epoch += 1;
+        self.pin_current()
+    }
+
+    /// Pin the current epoch without advancing it.
+    fn pin_current(&mut self) -> Arc<Pin> {
         let pin = Arc::new(Pin);
         self.pins.push_back((self.epoch, Arc::downgrade(&pin)));
         if self.pins.len() >= self.prune_at {
@@ -352,17 +359,15 @@ impl Ledger {
     }
 }
 
-fn lock(ledger: &Mutex<Ledger>) -> MutexGuard<'_, Ledger> {
-    // Every ledger method asserts before it mutates, so a poisoned lock
-    // still guards a consistent ledger.
-    ledger
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Every ledger method asserts before it mutates, and a pin cell is
+    // one pointer, so a poisoned lock still guards a consistent value.
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// An open epoch of a [`LeafStore`] ([`LeafStore::open_epoch`]): the pin
-/// that the snapshots of one publish, or of one writer burst of tenant
-/// publishes, share. Dropping it collects.
+/// that the snapshots one publish, or one writer burst of tenant
+/// publishes, retires share. Dropping it collects.
 pub struct Epoch {
     /// `None` only while dropping.
     pin: Option<Arc<Pin>>,
@@ -389,33 +394,41 @@ impl Drop for Epoch {
 /// One trie's handle on a leaf store: the slab it reads, the store's
 /// writer side, and the trie's pin (see the [module docs](self)).
 ///
-/// Cloning a pinned handle shares the pin; cloning a writer's (unpinned)
-/// handle pins the current epoch, so a clone of any trie stays readable
-/// for as long as it lives.
+/// Cloning a pinned handle shares the pin; cloning an unpinned one (a
+/// writer's, or a current snapshot's) pins the current epoch, so a clone
+/// of any trie stays readable for as long as it lives.
 pub struct LeafStore {
     slab: Slab,
     ledger: Arc<Mutex<Ledger>>,
-    pin: Option<Arc<Pin>>,
+    /// Set on a clone, and on a published snapshot by the publish that
+    /// retires it.
+    pin: Mutex<Option<Arc<Pin>>>,
 }
 
 impl core::fmt::Debug for LeafStore {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("LeafStore")
             .field("slots", &self.slab.len())
-            .field("pinned", &self.pin.is_some())
+            .field("pinned", &lock(&self.pin).is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl Clone for LeafStore {
     fn clone(&self) -> Self {
+        // The pin is read under the ledger lock, so it is either the one
+        // a retiring publish set before its first release, or the current
+        // epoch taken before that release.
+        let mut ledger = lock(&self.ledger);
+        let pin = match &*lock(&self.pin) {
+            Some(pin) => Arc::clone(pin),
+            None => ledger.pin_current(),
+        };
+        drop(ledger);
         LeafStore {
             slab: Arc::clone(&self.slab),
             ledger: Arc::clone(&self.ledger),
-            pin: Some(match &self.pin {
-                Some(pin) => Arc::clone(pin),
-                None => lock(&self.ledger).open(),
-            }),
+            pin: Mutex::new(Some(pin)),
         }
     }
 }
@@ -459,7 +472,7 @@ impl LeafStore {
         LeafStore {
             slab,
             ledger: Arc::new(Mutex::new(ledger)),
-            pin: None,
+            pin: Mutex::new(None),
         }
     }
 
@@ -468,7 +481,7 @@ impl LeafStore {
         LeafStore {
             slab: Arc::clone(&lock(&self.ledger).slab),
             ledger: Arc::clone(&self.ledger),
-            pin: None,
+            pin: Mutex::new(None),
         }
     }
 
@@ -495,7 +508,7 @@ impl LeafStore {
     }
 
     /// Open the next epoch of this store and pin it. Every snapshot a
-    /// publish makes with it shares its pin (see
+    /// publish retires with it shares its pin (see
     /// [`SharedFib::update_batch_in`](crate::sync::SharedFib::update_batch_in)).
     /// Dropping it releases its own pin and collects every retired extent
     /// no live pin can see.
@@ -511,24 +524,38 @@ impl LeafStore {
         Arc::ptr_eq(&self.ledger, &epoch.ledger)
     }
 
-    /// A handle reading what `self` reads, pinned on `epoch`: a published
+    /// An unpinned handle reading what `self` reads: a newly published
     /// snapshot's.
-    pub(crate) fn pinned(&self, epoch: &Epoch) -> Self {
-        debug_assert!(self.owns(epoch));
+    pub(crate) fn published(&self) -> Self {
         LeafStore {
             slab: Arc::clone(&self.slab),
             ledger: Arc::clone(&self.ledger),
-            pin: epoch.pin.clone(),
+            pin: Mutex::new(None),
         }
     }
 
-    /// Make `self`, a snapshot's handle on `src`'s store, read what `src`
-    /// reads, and pin it on `epoch` in place of its old pin. Nothing is
-    /// collected until `epoch` closes.
-    pub(crate) fn sync_from(&mut self, src: &LeafStore, epoch: &Epoch) {
-        debug_assert!(Arc::ptr_eq(&self.ledger, &src.ledger) && self.owns(epoch));
+    /// Pin `self`, the current snapshot's handle, on `epoch`, which the
+    /// publish that retires it opened. Call it before that publish's
+    /// first update releases anything. A pinned handle keeps its pin.
+    pub(crate) fn retire_on(&self, epoch: &Epoch) {
+        debug_assert!(self.owns(epoch));
+        let pin = epoch.pin.as_ref().expect("an open epoch");
+        lock(&self.pin).get_or_insert_with(|| Arc::clone(pin));
+    }
+
+    /// Drop the pin of `self`, the current snapshot's handle, when the
+    /// update that [`LeafStore::retire_on`] pinned it for released
+    /// nothing and publishes nothing.
+    pub(crate) fn unpin(&self) {
+        *lock(&self.pin) = None;
+    }
+
+    /// Make `self`, a recycled snapshot's handle on `src`'s store, read
+    /// what `src` reads, and drop its pin: it is about to be current.
+    pub(crate) fn sync_from(&mut self, src: &LeafStore) {
+        debug_assert!(Arc::ptr_eq(&self.ledger, &src.ledger));
         self.slab.clone_from(&src.slab);
-        self.pin.clone_from(&epoch.pin);
+        *self.pin.get_mut().unwrap_or_else(|p| p.into_inner()) = None;
     }
 
     /// Read slot `i` (bounds-checked).

@@ -33,25 +33,29 @@
 //!   swaps the spare in. On a REAL-Tier1-A-shaped table a 255-update BGP
 //!   burst writes a few hundred lines, so a publish copies tens of
 //!   kilobytes in about 16 µs, where a whole-trie clone took about 1 ms.
-//! * **Retirement rule.** Every snapshot's trie pins a leaf-store
-//!   [`Epoch`]. After the swap the writer always keeps the retired
-//!   snapshot as the next spare. The next publish first asks whether it
-//!   holds the only reference to the spare ([`Arc::get_mut`]). If it
-//!   does, it moves the spare's pin onto the publish's epoch, and when
-//!   that epoch closes after the swap, the store collects every extent no
-//!   live pin can see, what the spare's old pin held included. If a
+//! * **Retirement rule.** A current snapshot reads only leaf extents the
+//!   writer's trie still references, so it pins nothing. Every update
+//!   runs on a leaf-store [`Epoch`] that opened before it, and it first
+//!   pins the current snapshot on that epoch: whatever the update
+//!   releases is retired at that epoch or later, and stays until the
+//!   snapshot drops. After the swap the writer keeps the retired snapshot
+//!   as the next spare. The next publish asks whether it holds the only
+//!   reference to the spare ([`Arc::get_mut`]). If it does, the spare
+//!   drops its pin and becomes current, and when the publish's epoch
+//!   closes, the store collects every extent no live pin can see. If a
 //!   worker still holds the spare (one that took its snapshot just before
 //!   the swap), the writer lets go of it, and the worker's release ends
-//!   the pin.
+//!   the pin. An update that publishes nothing unpins the current
+//!   snapshot again, so a table that stops publishing holds nothing its
+//!   store's other tables retire.
 //! * **Epochs.** [`SharedFib::update_batch`] and the other single-table
-//!   updates open an epoch of their own once their updates are applied.
-//!   [`SharedFib::update_batch_in`] publishes on an epoch the caller
-//!   opened: a VRF writer burst opens one before its first update, then
-//!   publishes each tenant it touches once, every snapshot on that epoch,
-//!   so k tenants cost one epoch and one collection. The epoch must open
-//!   before the burst's first release. An extent a later tenant retires
-//!   is then retired at that epoch or later, so the pin of every snapshot
-//!   published earlier in the burst still holds it.
+//!   updates open an epoch of their own. [`SharedFib::update_batch_in`]
+//!   runs on an epoch the caller opened: a VRF writer burst opens one
+//!   before its first update, then updates and publishes each tenant it
+//!   touches once, so k tenants cost one epoch and one collection. An
+//!   extent a later tenant retires is retired at that epoch or later, so
+//!   the pin of every snapshot retired earlier in the burst still holds
+//!   it.
 //! * A publish whose spare is missing or still held copies the whole
 //!   trie, the cold path counted in [`PublishStats::full_copies`].
 //! * A snapshot a reader can reach is never written: the spare is only
@@ -298,9 +302,8 @@ impl<K: Bits> core::fmt::Debug for SharedFib<K> {
 impl<K: Bits> SharedFib<K> {
     /// Serve `fib` with its current state published as `version`.
     fn from_fib(mut fib: Fib<K>, version: u64) -> Self {
-        let trie = fib.poptrie();
         let current = RcuCell::new(FibSnapshot {
-            trie: trie.published_copy(&trie.leaf_store().open_epoch()),
+            trie: fib.poptrie().published_copy(),
             version,
         });
         let mut stale = DirtyLines::default();
@@ -441,17 +444,16 @@ impl<K: Bits> SharedFib<K> {
         }
     }
 
-    /// Publish the writer's current state as the next snapshot version,
-    /// pinned on `epoch`, by bringing the spare up to date or, when there
-    /// is none or a reader still holds it, by copying the trie (see the
-    /// [module docs](self)).
-    fn publish(&self, w: &mut Writer<K>, epoch: &Epoch) -> u64 {
+    /// Publish the writer's current state as the next snapshot version by
+    /// bringing the spare up to date or, when there is none or a reader
+    /// still holds it, by copying the trie (see the [module docs](self)).
+    fn publish(&self, w: &mut Writer<K>) -> u64 {
         let version = self.version.load(Ordering::Relaxed) + 1;
         let src = w.fib.poptrie();
         let mut spare = w.spare.take();
         let (next, copied) = match spare.as_mut().and_then(Arc::get_mut) {
             Some(snap) => {
-                let copied = snap.trie.sync_from(src, &w.stale, epoch);
+                let copied = snap.trie.sync_from(src, &w.stale);
                 snap.version = version;
                 (spare.expect("just recycled"), copied)
             }
@@ -459,7 +461,7 @@ impl<K: Bits> SharedFib<K> {
                 // Dropping a spare a reader still holds leaves it, and its
                 // pin, to the last reader, as for any retired snapshot.
                 drop(spare);
-                let trie = src.published_copy(epoch);
+                let trie = src.published_copy();
                 let copied = crate::dirty::Copied {
                     bytes: trie.array_bytes(),
                     full: true,
@@ -482,11 +484,39 @@ impl<K: Bits> SharedFib<K> {
         version
     }
 
-    /// [`SharedFib::publish`] on an epoch of its own, which closes after
-    /// the swap.
-    fn publish_alone(&self, w: &mut Writer<K>) -> u64 {
-        let epoch = w.fib.poptrie().leaf_store().open_epoch();
-        self.publish(w, &epoch)
+    /// Run `update` on the writer's trie, on `epoch` or on an epoch of its
+    /// own, and publish when `publishes` says so. The epoch opens, and the
+    /// current snapshot is pinned on it, before `update` can release an
+    /// extent that snapshot reads (see the [module docs](self)). Returns
+    /// `update`'s result and the current version.
+    fn write<R>(
+        &self,
+        epoch: Option<&Epoch>,
+        update: impl FnOnce(&mut Fib<K>) -> R,
+        publishes: impl FnOnce(&R) -> bool,
+    ) -> (R, u64) {
+        let mut w = self.writer();
+        let store = w.fib.poptrie().leaf_store();
+        let own;
+        let epoch = match epoch {
+            Some(epoch) => {
+                assert!(store.owns(epoch), "an epoch of another leaf store");
+                epoch
+            }
+            None => {
+                own = store.open_epoch();
+                &own
+            }
+        };
+        let current = self.current.snapshot();
+        current.trie.leaf_store().retire_on(epoch);
+        let out = update(&mut w.fib);
+        if !publishes(&out) {
+            current.trie.leaf_store().unpin();
+            return (out, self.version.load(Ordering::Relaxed));
+        }
+        drop(current);
+        (out, self.publish(&mut w))
     }
 
     /// Announce a route and publish the updated FIB.
@@ -496,22 +526,16 @@ impl<K: Bits> SharedFib<K> {
     /// `Ok`. Fails without publishing when the route is rejected (see
     /// [`UpdateError`]).
     pub fn insert(&self, prefix: Prefix<K>, nh: NextHop) -> Result<Applied, UpdateError> {
-        let mut w = self.writer();
-        let applied = w.fib.insert(prefix, nh)?;
-        self.publish_alone(&mut w);
-        Ok(applied)
+        let (applied, _) = self.write(None, |fib| fib.insert(prefix, nh), Result::is_ok);
+        applied
     }
 
     /// Withdraw a route. A new snapshot is published only when the route
     /// actually existed ([`Applied::Withdrawn`]); [`Applied::Absent`]
     /// leaves the current snapshot in place.
     pub fn remove(&self, prefix: Prefix<K>) -> Result<Applied, UpdateError> {
-        let mut w = self.writer();
-        let applied = w.fib.remove(prefix)?;
-        if applied.changed() {
-            self.publish_alone(&mut w);
-        }
-        Ok(applied)
+        let changed = |r: &Result<Applied, _>| matches!(r, Ok(a) if a.changed());
+        self.write(None, |fib| fib.remove(prefix), changed).0
     }
 
     /// Apply a batch of updates under one writer critical section and
@@ -523,12 +547,12 @@ impl<K: Bits> SharedFib<K> {
         self.update_batch_on(None, updates)
     }
 
-    /// [`SharedFib::update_batch`], publishing on `epoch`, an epoch of
-    /// this table's leaf store that the caller opened before the batch
-    /// and closes after it. The snapshot shares the epoch's pin, and
-    /// nothing is collected until the epoch closes: a writer burst over
-    /// many tables of one store opens one epoch for all of them (see the
-    /// [module docs](self)).
+    /// [`SharedFib::update_batch`] on `epoch`, an epoch of this table's
+    /// leaf store that the caller opened before the batch and closes
+    /// after it. The snapshot the batch retires shares the epoch's pin,
+    /// and nothing is collected until the epoch closes: a writer burst
+    /// over many tables of one store opens one epoch for all of them (see
+    /// the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -546,29 +570,22 @@ impl<K: Bits> SharedFib<K> {
         epoch: Option<&Epoch>,
         updates: impl IntoIterator<Item = RouteUpdate<K>>,
     ) -> BatchOutcome {
-        let mut w = self.writer();
-        if let Some(epoch) = epoch {
-            assert!(
-                w.fib.poptrie().leaf_store().owns(epoch),
-                "an epoch of another leaf store"
-            );
-        }
-        let mut events = 0usize;
-        let mut applied = 0usize;
-        for u in updates {
-            events += 1;
-            let outcome = match u {
-                RouteUpdate::Announce(p, nh) => w.fib.insert(p, nh),
-                RouteUpdate::Withdraw(p) => w.fib.remove(p),
-            };
-            if matches!(outcome, Ok(a) if a.changed()) {
-                applied += 1;
+        let apply = |fib: &mut Fib<K>| {
+            let mut events = 0usize;
+            let mut applied = 0usize;
+            for u in updates {
+                events += 1;
+                let outcome = match u {
+                    RouteUpdate::Announce(p, nh) => fib.insert(p, nh),
+                    RouteUpdate::Withdraw(p) => fib.remove(p),
+                };
+                if matches!(outcome, Ok(a) if a.changed()) {
+                    applied += 1;
+                }
             }
-        }
-        let version = match epoch {
-            Some(epoch) => self.publish(&mut w, epoch),
-            None => self.publish_alone(&mut w),
+            (events, applied)
         };
+        let ((events, applied), version) = self.write(epoch, apply, |_| true);
         BatchOutcome {
             events,
             applied,
@@ -586,10 +603,8 @@ impl<K: Bits> SharedFib<K> {
         &self,
         backend: poptrie_bitops::BatchBackend,
     ) -> poptrie_bitops::BatchBackend {
-        let mut w = self.writer();
-        let installed = w.fib.set_batch_backend(backend);
-        self.publish_alone(&mut w);
-        installed
+        self.write(None, |fib| fib.set_batch_backend(backend), |_| true)
+            .0
     }
 
     /// Cumulative update-work counters from the writer side.

@@ -39,8 +39,7 @@
 //! depth `d`. Everything else a snapshot reports about lookups — the
 //! per-mode totals, direct hits, resolutions per ranking mechanism, the
 //! depth histogram, and the direct/descent phase split with its mean
-//! descent depth that `repro trace` attributes perf counters to — is
-//! derived from that histogram when [`snapshot`] reads it, so every
+//! descent depth — is derived from that histogram when [`snapshot`] reads it, so every
 //! lookup is counted once and the derived totals reconcile by
 //! construction (`tests/telemetry.rs` in the umbrella crate checks them
 //! on every dispatch tier).
@@ -139,9 +138,9 @@ pub(crate) fn record_rcu_publish(outstanding: u64) {
 
 /// The phase a single lookup resolves in. Returned by
 /// [`lookup_phase`](crate::trie::PoptrieImpl::lookup_phase), which
-/// classifies a key without touching the counters — the `repro trace`
-/// harness uses it to partition a traffic sample into per-phase batches
-/// before measuring each partition under the perf group.
+/// classifies a key without touching the counters, so a test can
+/// predict what the counters must show, and a harness can partition a
+/// traffic sample into per-phase batches before measuring each one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupPhase {
     /// Resolved by the direct table: one load, depth 0.

@@ -263,11 +263,11 @@ impl<K: Bits, N: NodeRepr> PoptrieImpl<K, N> {
 
     /// Classify the phase a lookup of `key` resolves in — direct-table
     /// hit or descent of a given depth — without touching the counters
-    /// or the route result. The `repro trace` harness uses this
-    /// to partition a traffic sample into per-phase batches before
-    /// measuring each partition under the perf-counter group, so the
-    /// attribution ("direct hits cost X cycles, depth-d descents cost Y")
-    /// is measured, not inferred.
+    /// or the route result. A harness can use this to partition a
+    /// traffic sample into per-phase batches before measuring each
+    /// partition under the perf-counter group, so the attribution
+    /// ("direct hits cost X cycles, depth-d descents cost Y") is
+    /// measured, not inferred.
     #[cfg(feature = "observe")]
     pub fn lookup_phase(&self, key: K) -> crate::telemetry::LookupPhase {
         let mut index: u32;

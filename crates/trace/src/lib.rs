@@ -23,7 +23,7 @@
 //!    inspectable event chains.
 //! 4. **Memory-hierarchy attribution.** [`PerfGroup`] wraps Linux
 //!    `perf_event_open` (cycles, instructions, L1d/LLC read misses,
-//!    branch misses) behind a graceful fallback, so `repro trace` can
+//!    branch misses) behind a graceful fallback, so a harness can
 //!    attribute counter deltas to lookup phases per dispatch tier.
 //!
 //! Drained rings export as Chrome trace-event JSON

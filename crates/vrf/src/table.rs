@@ -25,9 +25,8 @@ fn slot_of(i: usize) -> (usize, usize) {
     (s, n - (FIRST << s))
 }
 
-/// Group-wide memory accounting, in the units the `repro vrf` bench
-/// reports: what the tenant set actually costs, shared storage counted
-/// once.
+/// Group-wide memory accounting: what the tenant set actually costs,
+/// shared storage counted once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VrfMemory {
     /// Registered tables.

@@ -1,7 +1,8 @@
 //! End-to-end tests of the BGP control-plane path: the checked-in
 //! BGP4MP fixture parses with exact announce/withdraw accounting, a
-//! session-driven replay through the engine's writer reconverges to
-//! the RIB oracle exactly, the writer survives a poisoned publish
+//! session-driven replay through the engine's writer survives a
+//! mid-message session flap and reconverges to the RIB oracle exactly,
+//! the writer survives a poisoned publish
 //! burst (panic is caught, counted and the writer resumes), and the
 //! out-of-range engine entry points return errors instead of
 //! panicking.
@@ -42,9 +43,8 @@ fn handshake(s: &mut Session, now: u64) {
     assert_eq!(s.state(), State::Established);
 }
 
-/// The CI smoke contract: the fixture is a fixed artifact whose
-/// accounting the replay gates on. If this test moves, regenerate the
-/// fixture (`repro bgp --write-fixture`) and update the constants.
+/// The fixture is a fixed, checked-in artifact: 48 announced prefixes,
+/// then 36 churn UPDATEs. The replay below gates on this accounting.
 #[test]
 fn fixture_parses_with_exact_accounting() {
     let bytes = std::fs::read(FIXTURE).expect("checked-in fixture");
@@ -60,9 +60,12 @@ fn fixture_parses_with_exact_accounting() {
     assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
 }
 
-/// Replay the fixture through the session FSM into the engine writer
-/// and require the served FIB to match a RIB oracle route for route,
-/// with a non-empty convergence-lag histogram.
+/// Replay the fixture through the session FSM into the engine writer,
+/// with the session torn down halfway through a message and lookups
+/// served while it is down. The peer reconnects and resends from that
+/// message: the session counts every route exactly once, the writer
+/// drains every update, and the served FIB matches a RIB oracle route
+/// for route, with a non-empty convergence-lag histogram.
 #[test]
 fn session_replay_reconverges_exactly() {
     let bytes = std::fs::read(FIXTURE).expect("checked-in fixture");
@@ -95,6 +98,7 @@ fn session_replay_reconverges_exactly() {
         EngineConfig::new(1).pin_workers(false).coalesce_window(8),
     );
     let control = engine.control();
+    let ingress = engine.ingress();
     let telemetry = engine.telemetry();
 
     let mut session = Session::new(SessionConfig::default());
@@ -102,8 +106,30 @@ fn session_replay_reconverges_exactly() {
     handshake(&mut session, 0);
     let mut interner = NextHopInterner::new();
     let mut sent = 0u64;
+    let (mut now, cut) = (0u64, trace.records.len() / 2);
+    let mut down_window_lookups = 0;
     for (i, r) in trace.records.iter().enumerate() {
-        let now = (i as u64 + 1) * 1_000_000;
+        now += 1_000_000;
+        if i == cut {
+            session.recv(now, &r.message[..r.message.len() / 2]);
+            assert!(session.mid_message(), "the flap lands mid-message");
+            session.disconnected(now);
+            let before = telemetry.total_packets();
+            let keys: Arc<[u32]> = (0..256u32).map(|k| k << 20).collect::<Vec<_>>().into();
+            assert!(
+                ingress.try_submit(keys).is_ok(),
+                "an idle engine takes a batch"
+            );
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while telemetry.total_packets() == before && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            down_window_lookups = telemetry.total_packets() - before;
+            now = session.next_deadline().expect("ConnectRetry is armed");
+            session.tick(now);
+            assert_eq!(session.state(), State::Connect);
+            handshake(&mut session, now);
+        }
         session.recv(now, &r.message);
         session.drain_actions();
         for ev in session.drain_events() {
@@ -127,7 +153,15 @@ fn session_replay_reconverges_exactly() {
         }
     }
     assert_eq!(session.state(), State::Established);
-    assert_eq!(session.stats().parse_errors.get(), 0);
+    let stats = session.stats();
+    assert_eq!(stats.parse_errors.get(), 0);
+    let counted = (stats.routes_announced.get(), stats.routes_withdrawn.get());
+    assert_eq!(counted, trace.accounting(), "announce/withdraw accounting");
+    assert_eq!((stats.resets.get(), stats.to_established.get()), (1, 2));
+    assert!(
+        down_window_lookups > 0,
+        "no lookups while the session was down"
+    );
     assert!(sent > 0);
 
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -141,6 +175,7 @@ fn session_replay_reconverges_exactly() {
         "convergence histogram empty"
     );
     assert_eq!(report.writer_respawns, 0);
+    assert!(report.packets >= down_window_lookups);
 
     for p in &touched {
         let key = p.first_addr();

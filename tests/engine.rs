@@ -15,8 +15,8 @@
 //! batch, drop, publish or control event is lost or double counted.
 
 use poptrie_suite::poptrie::sync::{RouteUpdate, SharedFib};
-use poptrie_suite::poptrie::PoptrieConfig;
-use poptrie_suite::prelude::{Engine, EngineConfig};
+use poptrie_suite::poptrie::{BatchBackend, PoptrieConfig};
+use poptrie_suite::prelude::{Engine, EngineConfig, VrfId, VrfTable};
 use poptrie_suite::tablegen::{churn_stream, ChurnConfig, ChurnEvent};
 use poptrie_suite::{NextHop, RadixTree};
 use std::sync::{Arc, Mutex};
@@ -68,6 +68,11 @@ fn four_workers_under_churn_are_oracle_exact_and_reconcile() {
         }
     }
     let fib = Arc::new(SharedFib::compile(rib, pcfg()));
+    // The workers serve whichever dispatch tier is forced on the FIB.
+    let widest = BatchBackend::widest_available();
+    for tier in [BatchBackend::Scalar, widest] {
+        assert_eq!(fib.set_batch_backend(tier), tier, "forced tier installed");
+    }
     let v0 = fib.version();
 
     let served: Arc<Mutex<Vec<ServedBatch>>> = Arc::new(Mutex::new(Vec::new()));
@@ -225,4 +230,96 @@ fn panic_isolation_respawns_and_drains_clean() {
     // The panicking batch is consumed but not served; every other batch is.
     assert_eq!(report.workers[0].batches, 19);
     assert_eq!(report.workers[0].packets, 19 * 64);
+}
+
+/// VRF-keyed batches fan out over 16 tenants while the control plane
+/// churns tenant 0. Tenant 1 keeps its snapshot version and its oracle's
+/// answers throughout, tenant 0 ends oracle-exact, every update drains,
+/// every VRF packet is served, and the group audit passes.
+#[test]
+fn vrf_churn_through_the_engine_leaves_other_tenants_untouched() {
+    const TENANTS: u32 = 16;
+    let events = stream();
+    let mut base: RadixTree<u32, NextHop> = RadixTree::new();
+    for ev in &events[..400] {
+        if let ChurnEvent::Announce(p, nh) = *ev {
+            base.insert(p, nh);
+        }
+    }
+    let vrfs = Arc::new(VrfTable::<u32>::shared(pcfg(), 1 << 16));
+    for _ in 0..TENANTS {
+        vrfs.create_from(base.clone());
+    }
+    let (churned, untouched) = (VrfId::new(0), VrfId::new(1));
+    let version = vrfs.snapshot(untouched).unwrap().version();
+    let engine = Engine::start(
+        Arc::new(SharedFib::with_config(pcfg())),
+        EngineConfig::new(2)
+            .pin_workers(false)
+            .vrfs(Arc::clone(&vrfs)),
+    );
+    let (control, ingress, telemetry) = (engine.control(), engine.ingress(), engine.telemetry());
+    let probes: Vec<u32> = (0..4096u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+    let keys: Arc<[u32]> = probes[..256].into();
+    let mut oracle = base.clone();
+    let (mut sent, mut packets) = (0u64, 0u64);
+    for chunk in events[400..].chunks(100) {
+        for ev in chunk {
+            let mut u = match *ev {
+                ChurnEvent::Announce(p, nh) => {
+                    oracle.insert(p, nh);
+                    RouteUpdate::Announce(p, nh)
+                }
+                ChurnEvent::Withdraw(p) => {
+                    oracle.remove(p);
+                    RouteUpdate::Withdraw(p)
+                }
+            };
+            while let Err(back) = control.send_vrf(churned, u) {
+                u = back;
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            sent += 1;
+        }
+        for t in 0..TENANTS {
+            let mut batch = Arc::clone(&keys);
+            while let Err(back) = ingress.try_submit_vrf(VrfId::new(t), batch) {
+                batch = back;
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            packets += keys.len() as u64;
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while telemetry.update_events.get() < sent && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let snap = vrfs.snapshot(untouched).unwrap();
+        assert_eq!(snap.version(), version, "the untouched tenant published");
+        for &k in &probes {
+            assert_eq!(
+                snap.lookup(k),
+                base.lookup(k).copied(),
+                "tenant 1 at {k:#x}"
+            );
+        }
+    }
+    let report = engine.shutdown(Duration::from_secs(30));
+    assert_eq!(report.update_events, sent, "every update drained");
+    assert_eq!(report.vrf_packets, packets, "every VRF packet served");
+    assert!(
+        report.convergence.samples > 0,
+        "convergence histogram empty"
+    );
+    let snap = vrfs.snapshot(churned).unwrap();
+    for ev in &events[400..] {
+        let (ChurnEvent::Announce(p, _) | ChurnEvent::Withdraw(p)) = *ev;
+        for k in [p.first_addr(), p.last_addr()] {
+            assert_eq!(
+                snap.lookup(k),
+                oracle.lookup(k).copied(),
+                "tenant 0 at {k:#x}"
+            );
+        }
+    }
+    vrfs.audit().unwrap();
 }

@@ -6,7 +6,8 @@
 //! these tests exercise the cross-crate promises: a convergence span
 //! allocated by the BGP session must surface in the drained rings as
 //! writer apply, a publish of its version and a worker snapshot adoption
-//! covering it, and the engine's per-batch sampling must be
+//! covering it, and in the Chrome trace export of those rings; and the
+//! engine's per-batch sampling must be
 //! deterministic — the same offered batch count yields the same event
 //! count, full or sampled.
 
@@ -18,7 +19,8 @@ use poptrie_bgp::wire::{Message, OpenMsg, UpdateMsg};
 use poptrie_bgp::{Event, NextHopInterner, RouteEvent, Session, SessionConfig, State};
 use poptrie_engine::{Engine, EngineConfig};
 use poptrie_rib::{Prefix, RadixTree};
-use poptrie_trace::{EventKind, Recorder, TraceConfig};
+use poptrie_telemetry::json::Json;
+use poptrie_trace::{chrome_trace_json, EventKind, Recorder, TraceConfig};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 use std::time::Duration;
@@ -167,6 +169,18 @@ fn span_chain_reaches_a_publish_and_a_lookup() {
             "span {span} published as version {version} but max adopted is {adopted_max}"
         );
     }
+
+    // The Perfetto-loadable export names each of those events, one
+    // `trace/publish` per publish the span summary counts.
+    let chrome = chrome_trace_json(&rings);
+    let events = chrome.pointer("/traceEvents").and_then(Json::as_array);
+    let named = |name: &str| {
+        let is = |ev: &&Json| ev.get("name").and_then(Json::as_str) == Some(name);
+        events.expect("traceEvents").iter().filter(is).count()
+    };
+    assert!(named("trace/lookup_batch") > 0 && named("trace/span_accept") > 0);
+    assert_eq!(named("trace/publish"), published.len());
+    assert!(!published.is_empty());
 }
 
 /// The same deterministic batch count through a one-worker engine must
