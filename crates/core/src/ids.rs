@@ -1,35 +1,9 @@
-//! Typed identifiers shared by the engine and the VRF layer.
+//! The typed tenant identifier shared by the engine and the VRF layer.
 //!
-//! Raw `usize` indices made two very different namespaces — registered
-//! ingress sources and virtual routing tables — interchangeable at every
-//! call site, and pushed validity checking to runtime (`BadIndex`). These
-//! newtypes make a source token unusable where a VRF token is expected
-//! (and vice versa) at the type level; the remaining runtime check is
-//! only whether the token belongs to *this* engine or registry.
-
-/// A registered ingress source: the position of an
-/// `EngineConfig::source` registration, in registration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SourceId(u32);
-
-impl SourceId {
-    /// The source registered at position `index` (0-based registration
-    /// order).
-    pub const fn new(index: u32) -> Self {
-        SourceId(index)
-    }
-
-    /// The registration-order index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl core::fmt::Display for SourceId {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "source#{}", self.0)
-    }
-}
+//! A raw `usize` index would let any integer stand in for a tenant at
+//! every call site. [`VrfId`] names a table of a `VrfTable` registry, so
+//! the only check left at runtime is whether the id belongs to *this*
+//! registry.
 
 /// A virtual routing table (VRF) in a `VrfTable` registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

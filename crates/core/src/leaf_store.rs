@@ -23,7 +23,8 @@
 //!   opens an [`Epoch`] before its first update (a VRF writer burst opens
 //!   one for all the tenants it publishes) and pins the snapshot on it
 //!   first, so everything its writer releases from then on is held for
-//!   it. A clone shares the pin of the trie it copies, or pins the
+//!   it; once no reader holds the retired snapshot, it drops the pin
+//!   again. A clone shares the pin of the trie it copies, or pins the
 //!   store's current epoch when that trie has none. Retired extents are
 //!   collected when an epoch closes, and at once when no pin is alive.
 //! * **Growth.** When the buddy must grow, the store allocates a slab of
@@ -543,9 +544,10 @@ impl LeafStore {
         lock(&self.pin).get_or_insert_with(|| Arc::clone(pin));
     }
 
-    /// Drop the pin of `self`, the current snapshot's handle, when the
+    /// Drop the pin of `self`: the current snapshot's handle when the
     /// update that [`LeafStore::retire_on`] pinned it for released
-    /// nothing and publishes nothing.
+    /// nothing and publishes nothing, or a retired snapshot's once the
+    /// writer holds the only reference to it.
     pub(crate) fn unpin(&self) {
         *lock(&self.pin) = None;
     }

@@ -78,7 +78,7 @@ pub mod update;
 pub use audit::AuditReport;
 pub use builder::Builder;
 pub use config::{ConfigError, PoptrieConfig, PoptrieConfigBuilder};
-pub use ids::{SourceId, VrfId};
+pub use ids::VrfId;
 pub use leaf_store::{Epoch, InternStats, LeafStore};
 pub use node::{Node16, Node24, NodeRepr};
 pub use poptrie_bitops::BatchBackend;

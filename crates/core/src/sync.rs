@@ -39,15 +39,19 @@
 //!   pins the current snapshot on that epoch: whatever the update
 //!   releases is retired at that epoch or later, and stays until the
 //!   snapshot drops. After the swap the writer keeps the retired snapshot
-//!   as the next spare. The next publish asks whether it holds the only
-//!   reference to the spare ([`Arc::get_mut`]). If it does, the spare
-//!   drops its pin and becomes current, and when the publish's epoch
-//!   closes, the store collects every extent no live pin can see. If a
-//!   worker still holds the spare (one that took its snapshot just before
-//!   the swap), the writer lets go of it, and the worker's release ends
-//!   the pin. An update that publishes nothing unpins the current
-//!   snapshot again, so a table that stops publishing holds nothing its
-//!   store's other tables retire.
+//!   as the next spare. If the writer holds the only reference to it
+//!   ([`Arc::get_mut`]), it drops the spare's pin at once: no reader can
+//!   reach the spare any more, and nothing reads it until the next
+//!   publish brings it up to date. When the publish's epoch closes, the
+//!   store collects every extent no live pin can see. If a worker still
+//!   holds the spare (one that took its snapshot just before the swap),
+//!   the spare keeps its pin until the table's next publish: that
+//!   publish recycles the spare and drops the pin, or, when the worker
+//!   still holds it, lets go of it, and the worker's release ends the
+//!   pin. An update that publishes nothing unpins the current snapshot
+//!   again. So a table that stops publishing holds nothing its store's
+//!   other tables retire, except while a spare a worker held at the swap
+//!   waits for that table's next publish.
 //! * **Epochs.** [`SharedFib::update_batch`] and the other single-table
 //!   updates open an epoch of their own. [`SharedFib::update_batch_in`]
 //!   runs on an epoch the caller opened: a VRF writer burst opens one
@@ -469,7 +473,13 @@ impl<K: Bits> SharedFib<K> {
                 (Arc::new(FibSnapshot { trie, version }), copied)
             }
         };
-        w.spare = Some(self.current.replace(next));
+        let mut retired = self.current.replace(next);
+        if let Some(snap) = Arc::get_mut(&mut retired) {
+            // Unreachable by readers, and read again only once
+            // `sync_from` has brought it up to date: no pin needed.
+            snap.trie.leaf_store().unpin();
+        }
+        w.spare = Some(retired);
         self.version.store(version, Ordering::Release);
         // The retired snapshot lacks exactly what this burst wrote.
         w.fib.take_dirty(&mut w.stale);

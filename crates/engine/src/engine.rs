@@ -46,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use poptrie::sync::{BatchOutcome, PublishStats, RouteUpdate, SharedFib};
-use poptrie::{SourceId, VrfId};
+use poptrie::VrfId;
 use poptrie_bitops::Bits;
 use poptrie_rib::{NextHop, Prefix, NO_ROUTE};
 use poptrie_vrf::VrfTable;
@@ -78,11 +78,13 @@ mod no_recorder {
 }
 
 use crate::affinity;
-use crate::queue::{self, Consumer, PushError, Ring, NO_SOURCE};
+use crate::queue::{self, Consumer, PushError, Ring};
 use crate::stats::EngineTelemetry;
 
 /// Observer of every served batch: `(worker, keys, next_hops,
-/// snapshot_version)`. Runs on the worker thread — keep it cheap.
+/// snapshot_version)`. Runs on the worker thread after the batch's
+/// service time is stamped, so its cost lands in the queue wait of the
+/// batches behind it — keep it cheap.
 pub type BatchHook<K> = Arc<dyn Fn(usize, &[K], &[NextHop], u64) + Send + Sync>;
 
 /// Observer of every published update batch: the [`BatchOutcome`] and the
@@ -104,8 +106,7 @@ type Stamped<K> = (u64, Option<VrfId>, Arc<[K]>);
 /// and without the `observe` feature.
 type StampedUpdate<K> = (u64, u64, Option<VrfId>, RouteUpdate<K>);
 
-/// An out-of-range worker or source index handed to one of the engine's
-/// indexed accessors ([`Engine::ingress_for`], [`Engine::inject_panic`]).
+/// An out-of-range worker index handed to [`Engine::inject_panic`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BadIndex {
     /// The index the caller asked for.
@@ -128,6 +129,9 @@ fn known_vrf<K: Bits>(vrfs: Option<&VrfTable<K>>, vrf: VrfId) -> bool {
     vrfs.is_some_and(|v| vrf.index() < v.len())
 }
 
+/// Depth of the control channel, in route-update events.
+const CONTROL_CAPACITY: usize = 4096;
+
 /// The producer side of the per-worker batch rings, shared between the
 /// engine and every [`Ingress`] handle (each worker owns its ring's
 /// [`Consumer`]).
@@ -142,7 +146,7 @@ type BatchQueues<K> = Arc<Vec<Arc<Ring<Stamped<K>>>>>;
 /// but a batch that *was* admitted and then waited longer than the
 /// deadline is dropped at pop instead of served late — the SLO stance
 /// that a stale answer is worth less than the next fresh packet. Every
-/// deadline drop is counted per worker and per source and reconciled in
+/// deadline drop is counted per worker and reconciled in
 /// [`EngineReport`]: `offered == delivered + deadline-dropped + refused`
 /// holds exactly, at batch and at packet granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,12 +163,9 @@ pub enum QosPolicy {
 pub struct EngineConfig<K: Bits> {
     workers: usize,
     queue_capacity: usize,
-    control_capacity: usize,
     coalesce_window: usize,
     pin_workers: bool,
-    batch_delay: Duration,
     qos: QosPolicy,
-    sources: Vec<(String, u32)>,
     vrfs: Option<Arc<VrfTable<K>>>,
     on_batch: Option<BatchHook<K>>,
     on_publish: Option<PublishHook<K>>,
@@ -176,12 +177,9 @@ impl<K: Bits> core::fmt::Debug for EngineConfig<K> {
         f.debug_struct("EngineConfig")
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
-            .field("control_capacity", &self.control_capacity)
             .field("coalesce_window", &self.coalesce_window)
             .field("pin_workers", &self.pin_workers)
-            .field("batch_delay", &self.batch_delay)
             .field("qos", &self.qos)
-            .field("sources", &self.sources)
             .field("vrfs", &self.vrfs)
             .finish_non_exhaustive()
     }
@@ -189,19 +187,17 @@ impl<K: Bits> core::fmt::Debug for EngineConfig<K> {
 
 impl<K: Bits> EngineConfig<K> {
     /// A config for `workers` forwarding threads (minimum 1). Defaults:
-    /// 64-batch ingress queues, 4096-event control channel, 256-event
-    /// coalesce window, workers pinned round-robin to cores, no batch
-    /// delay, no hooks.
+    /// 64-batch ingress queues, 256-event coalesce window, workers pinned
+    /// round-robin to cores, [`QosPolicy::Refuse`], no VRF registry, no
+    /// hooks. The control channel always holds 4096 route-update
+    /// events.
     pub fn new(workers: usize) -> Self {
         EngineConfig {
             workers: workers.max(1),
             queue_capacity: 64,
-            control_capacity: 4096,
             coalesce_window: 256,
             pin_workers: true,
-            batch_delay: Duration::ZERO,
             qos: QosPolicy::Refuse,
-            sources: Vec::new(),
             vrfs: None,
             on_batch: None,
             on_publish: None,
@@ -212,12 +208,6 @@ impl<K: Bits> EngineConfig<K> {
     /// Ingress queue depth per worker, in batches (minimum 1).
     pub fn queue_capacity(mut self, batches: usize) -> Self {
         self.queue_capacity = batches.max(1);
-        self
-    }
-
-    /// Control channel depth, in route-update events (minimum 1).
-    pub fn control_capacity(mut self, events: usize) -> Self {
-        self.control_capacity = events.max(1);
         self
     }
 
@@ -235,35 +225,10 @@ impl<K: Bits> EngineConfig<K> {
         self
     }
 
-    /// Sleep this long before serving each batch — a chaos knob
-    /// simulating a slow egress path, used to exercise backpressure
-    /// deterministically in tests. `Duration::ZERO` (default) disables.
-    pub fn batch_delay(mut self, delay: Duration) -> Self {
-        self.batch_delay = delay;
-        self
-    }
-
     /// What happens to batches that cannot be served in time (see
     /// [`QosPolicy`]; default [`QosPolicy::Refuse`]).
     pub fn qos(mut self, policy: QosPolicy) -> Self {
         self.qos = policy;
-        self
-    }
-
-    /// Register a named traffic source with a relative `weight`
-    /// (minimum 1). Queue slots are apportioned among the registered
-    /// sources by largest-remainder: every source gets at least one
-    /// slot, the rest are split in proportion to weight, and — as long
-    /// as there are no more sources than slots — the quotas sum to
-    /// exactly `queue_capacity`, so the weighted shares can never
-    /// jointly oversubscribe a queue (see [`source_quotas`] for the
-    /// degenerate more-sources-than-slots case). Under contention a
-    /// source can fill at most its share of each queue, so a flooding
-    /// source is refused while lighter ones still get in. Feed a
-    /// registered source through [`Engine::ingress_for`]; the plain
-    /// [`Engine::ingress`] handle remains unweighted and quota-exempt.
-    pub fn source(mut self, name: &str, weight: u32) -> Self {
-        self.sources.push((name.to_string(), weight.max(1)));
         self
     }
 
@@ -311,12 +276,6 @@ pub struct Ingress<K: Bits> {
     queues: BatchQueues<K>,
     stats: Arc<EngineTelemetry>,
     next: Arc<AtomicUsize>,
-    /// Source index this handle submits as ([`NO_SOURCE`] for the
-    /// unweighted [`Engine::ingress`] handle).
-    source: u32,
-    /// Per-queue slot quota for this source (`usize::MAX` when
-    /// unweighted).
-    quota: usize,
     /// The engine's VRF registry, when one was attached — consulted to
     /// validate [`Ingress::try_submit_vrf`] ids at the edge.
     vrfs: Option<Arc<VrfTable<K>>>,
@@ -328,8 +287,6 @@ impl<K: Bits> Clone for Ingress<K> {
             queues: Arc::clone(&self.queues),
             stats: Arc::clone(&self.stats),
             next: Arc::clone(&self.next),
-            source: self.source,
-            quota: self.quota,
             vrfs: self.vrfs.clone(),
         }
     }
@@ -339,8 +296,6 @@ impl<K: Bits> core::fmt::Debug for Ingress<K> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Ingress")
             .field("workers", &self.queues.len())
-            .field("source", &self.source)
-            .field("quota", &self.quota)
             .finish_non_exhaustive()
     }
 }
@@ -350,11 +305,6 @@ impl<K: Bits> Ingress<K> {
     fn count_refuse(&self, n: u64) {
         self.stats.dropped_batches.inc();
         self.stats.dropped_packets.add(n);
-        if self.source != NO_SOURCE {
-            self.stats.sources()[self.source as usize]
-                .refused_batches
-                .inc();
-        }
     }
 
     /// The one submit path: offer the batch to each worker of `order` in
@@ -372,15 +322,10 @@ impl<K: Bits> Ingress<K> {
             let Some(queue) = self.queues.get(w) else {
                 break;
             };
-            match queue.try_push_from(self.source, self.quota, stamped) {
+            match queue.try_push(stamped) {
                 Ok(()) => {
                     self.stats.submitted_batches.inc();
                     self.stats.batch_size.record(packets);
-                    if self.source != NO_SOURCE {
-                        self.stats.sources()[self.source as usize]
-                            .submitted_batches
-                            .inc();
-                    }
                     return Ok(w);
                 }
                 Err(PushError::Full(s)) | Err(PushError::Closed(s)) => stamped = s,
@@ -398,9 +343,8 @@ impl<K: Bits> Ingress<K> {
     }
 
     /// Submit a batch to worker `worker`'s queue without blocking. On
-    /// refusal (queue full, source quota exhausted, engine shut down, or
-    /// `worker >= workers()`) the batch is handed back and the drop is
-    /// **already counted** in
+    /// refusal (queue full, engine shut down, or `worker >= workers()`)
+    /// the batch is handed back and the drop is **already counted** in
     /// [`dropped_batches`](EngineTelemetry::dropped_batches) /
     /// [`dropped_packets`](EngineTelemetry::dropped_packets).
     pub fn try_submit_to(&self, worker: usize, batch: Arc<[K]>) -> Result<(), Arc<[K]>> {
@@ -426,8 +370,8 @@ impl<K: Bits> Ingress<K> {
     /// Submit a batch to the next worker in round-robin order, skipping
     /// over full queues — load shifts away from a momentarily slow worker
     /// instead of being shed. Returns the accepting worker's index; on
-    /// refusal (every queue full or quota-exhausted, or shutdown) the
-    /// batch is handed back and the drop is already counted.
+    /// refusal (every queue full, or shutdown) the batch is handed back
+    /// and the drop is already counted.
     pub fn try_submit(&self, batch: Arc<[K]>) -> Result<usize, Arc<[K]>> {
         self.submit(self.round_robin(), None, batch)
     }
@@ -435,12 +379,6 @@ impl<K: Bits> Ingress<K> {
     /// Number of worker queues this handle feeds.
     pub fn workers(&self) -> usize {
         self.queues.len()
-    }
-
-    /// The per-queue slot quota this handle submits under
-    /// (`usize::MAX` when unweighted).
-    pub fn quota(&self) -> usize {
-        self.quota
     }
 }
 
@@ -507,21 +445,6 @@ impl<K: Bits> Control<K> {
             return Err(update);
         }
         self.push(0, Some(vrf), update)
-    }
-
-    /// Enqueue an announce of `prefix -> nh` into VRF `vrf`.
-    pub fn announce_vrf(
-        &self,
-        vrf: VrfId,
-        prefix: Prefix<K>,
-        nh: NextHop,
-    ) -> Result<(), RouteUpdate<K>> {
-        self.send_vrf(vrf, RouteUpdate::Announce(prefix, nh))
-    }
-
-    /// Enqueue a withdraw of `prefix` from VRF `vrf`.
-    pub fn withdraw_vrf(&self, vrf: VrfId, prefix: Prefix<K>) -> Result<(), RouteUpdate<K>> {
-        self.send_vrf(vrf, RouteUpdate::Withdraw(prefix))
     }
 
     fn push(
@@ -645,34 +568,12 @@ pub struct WorkerReport {
     pub service: LatencySummary,
 }
 
-/// Final accounting for one registered source, from [`EngineReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceReport {
-    /// The source's registered name.
-    pub name: String,
-    /// The source's registered weight.
-    pub weight: u32,
-    /// The per-worker-queue slot quota derived from the weight.
-    pub quota: usize,
-    /// Batches accepted into a queue.
-    pub submitted_batches: u64,
-    /// Batches refused at ingress (queue full or quota exhausted).
-    pub refused_batches: u64,
-    /// Batches served to completion.
-    pub delivered_batches: u64,
-    /// Batches dropped by the deadline policy.
-    pub deadline_dropped_batches: u64,
-}
-
 /// What [`Engine::shutdown`] observed: totals, drop accounting, and
 /// whether every thread drained and joined within the deadline.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// Per-worker accounting, indexed by worker.
     pub workers: Vec<WorkerReport>,
-    /// Per-source accounting, in registration order (empty when no
-    /// sources were registered).
-    pub sources: Vec<SourceReport>,
     /// Total packets looked up.
     pub packets: u64,
     /// Total batches served.
@@ -735,52 +636,6 @@ pub struct EngineReport {
     pub elapsed: Duration,
 }
 
-/// Per-worker-queue slot quotas for weighted sources, by
-/// largest-remainder apportionment: every source gets one reserved
-/// slot, the remaining `capacity - n` slots are split in proportion to
-/// weight, and the sources with the largest fractional parts absorb the
-/// leftovers (ties broken by registration order, so the result is
-/// deterministic).
-///
-/// Invariants:
-/// * every quota is at least 1, so a registered source can always make
-///   progress;
-/// * when `weights.len() <= capacity`, the quotas sum to **exactly**
-///   `capacity` — the weighted shares can never jointly oversubscribe a
-///   queue. (The previous `max(1, capacity·w/Σw)` formula broke this:
-///   flooring each share at one slot on top of independent truncation
-///   could push the sum past the capacity, quietly handing heavy
-///   sources admission the queue could not honor.)
-/// * with more sources than slots, the per-source floor wins: every
-///   source keeps its minimum one slot and the queue's own capacity
-///   still bounds actual admission. The quotas are individually honest
-///   but collectively oversubscribed by construction in this degenerate
-///   configuration.
-pub fn source_quotas(capacity: usize, weights: &[u32]) -> Vec<usize> {
-    let n = weights.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n >= capacity {
-        return vec![1; n];
-    }
-    let total: u64 = weights.iter().map(|&w| w as u64).sum::<u64>().max(1);
-    let spare = (capacity - n) as u64;
-    let mut quotas: Vec<usize> = Vec::with_capacity(n);
-    let mut by_remainder: Vec<(u64, usize)> = Vec::with_capacity(n);
-    for (i, &w) in weights.iter().enumerate() {
-        let share = spare * w as u64;
-        quotas.push(1 + (share / total) as usize);
-        by_remainder.push((share % total, i));
-    }
-    let assigned: usize = quotas.iter().sum();
-    by_remainder.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    for &(_, i) in by_remainder.iter().take(capacity - assigned) {
-        quotas[i] += 1;
-    }
-    quotas
-}
-
 /// The running engine. Owns the worker and writer threads; hand out
 /// [`Ingress`]/[`Control`] handles to feed it, and finish with
 /// [`Engine::shutdown`] for drain-then-join teardown.
@@ -813,15 +668,7 @@ impl<K: Bits> Engine<K> {
     /// and routes all mutations through its single writer.
     pub fn start(fib: Arc<SharedFib<K>>, config: EngineConfig<K>) -> Self {
         let nworkers = config.workers;
-        let weights: Vec<u32> = config.sources.iter().map(|(_, w)| *w).collect();
-        let quotas = source_quotas(config.queue_capacity, &weights);
-        let source_specs: Vec<(String, u32, usize)> = config
-            .sources
-            .iter()
-            .zip(&quotas)
-            .map(|((name, w), &quota)| (name.clone(), *w, quota))
-            .collect();
-        let stats = Arc::new(EngineTelemetry::new(nworkers, &source_specs));
+        let stats = Arc::new(EngineTelemetry::new(nworkers));
         stats.published_version.set(fib.version());
         let publish_base = fib.publish_stats();
         // Stamps, waits, deadlines and idle budgets are all TSC cycles:
@@ -834,10 +681,10 @@ impl<K: Bits> Engine<K> {
             )),
         };
         let (queues, consumers): (Vec<_>, Vec<_>) = (0..nworkers)
-            .map(|_| queue::ring(config.queue_capacity, quotas.len(), queue::WORKER_IDLE))
+            .map(|_| queue::ring(config.queue_capacity, queue::WORKER_IDLE))
             .unzip();
         let queues: BatchQueues<K> = Arc::new(queues);
-        let (control, control_rx) = queue::ring(config.control_capacity, 0, queue::WRITER_IDLE);
+        let (control, control_rx) = queue::ring(CONTROL_CAPACITY, queue::WRITER_IDLE);
 
         let mut panic_flags = Vec::with_capacity(nworkers);
         let mut workers = Vec::with_capacity(nworkers);
@@ -848,7 +695,6 @@ impl<K: Bits> Engine<K> {
             let stats = Arc::clone(&stats);
             let vrfs = config.vrfs.clone();
             let hook = config.on_batch.clone();
-            let delay = config.batch_delay;
             let pin = config.pin_workers;
             let recorder = config.recorder.clone();
             let handle = std::thread::Builder::new()
@@ -865,7 +711,6 @@ impl<K: Bits> Engine<K> {
                         &mut queue,
                         &stats,
                         &flag,
-                        delay,
                         deadline,
                         hook.as_ref(),
                         tracer.as_ref(),
@@ -920,38 +765,15 @@ impl<K: Bits> Engine<K> {
         self.workers.len()
     }
 
-    /// A clonable dataplane feeder handle: unweighted and quota-exempt
-    /// (only total queue capacity bounds admission).
+    /// A clonable dataplane feeder handle (queue capacity alone bounds
+    /// admission).
     pub fn ingress(&self) -> Ingress<K> {
         Ingress {
             queues: Arc::clone(&self.queues),
             stats: Arc::clone(&self.stats),
             next: Arc::clone(&self.next),
-            source: NO_SOURCE,
-            quota: usize::MAX,
             vrfs: self.vrfs.clone(),
         }
-    }
-
-    /// A feeder handle submitting as registered source `source` (a
-    /// [`SourceId`] wrapping the index in [`EngineConfig::source`]
-    /// registration order), subject to that source's weighted per-queue
-    /// slot quota. An unregistered id is a [`BadIndex`] error, never a
-    /// panic: fault-injection harnesses probe these knobs with hostile
-    /// indices by design.
-    pub fn ingress_for(&self, source: SourceId) -> Result<Ingress<K>, BadIndex> {
-        let spec = self.stats.source(source.index()).ok_or(BadIndex {
-            index: source.index(),
-            len: self.stats.sources().len(),
-        })?;
-        Ok(Ingress {
-            queues: Arc::clone(&self.queues),
-            stats: Arc::clone(&self.stats),
-            next: Arc::clone(&self.next),
-            source: source.index() as u32,
-            quota: spec.quota,
-            vrfs: self.vrfs.clone(),
-        })
     }
 
     /// A clonable control-plane handle.
@@ -963,19 +785,9 @@ impl<K: Bits> Engine<K> {
         }
     }
 
-    /// The VRF registry attached at [`EngineConfig::vrfs`], if any.
-    pub fn vrfs(&self) -> Option<&Arc<VrfTable<K>>> {
-        self.vrfs.as_ref()
-    }
-
     /// The engine's live counters.
     pub fn telemetry(&self) -> Arc<EngineTelemetry> {
         Arc::clone(&self.stats)
-    }
-
-    /// The shared FIB the engine serves.
-    pub fn fib(&self) -> &Arc<SharedFib<K>> {
-        &self.fib
     }
 
     /// Make worker `worker` panic at the start of its next batch — a
@@ -1039,20 +851,6 @@ impl<K: Bits> Engine<K> {
                 service: LatencySummary::from_histogram(&w.service_ns),
             })
             .collect::<Vec<_>>();
-        let sources = self
-            .stats
-            .sources()
-            .iter()
-            .map(|s| SourceReport {
-                name: s.name.clone(),
-                weight: s.weight,
-                quota: s.quota,
-                submitted_batches: s.submitted_batches.get(),
-                refused_batches: s.refused_batches.get(),
-                delivered_batches: s.delivered_batches.get(),
-                deadline_dropped_batches: s.deadline_dropped_batches.get(),
-            })
-            .collect::<Vec<_>>();
         let wait_counts = self.stats.merged_queue_wait();
         let wait_sum: u64 = self
             .stats
@@ -1090,7 +888,6 @@ impl<K: Bits> Engine<K> {
             convergence: LatencySummary::from_histogram(&self.stats.convergence_ns),
             writer_respawns: self.stats.writer_respawns.get(),
             workers,
-            sources,
             drained_clean,
             leaked_threads: leaked,
             elapsed: self.started.elapsed(),
@@ -1124,7 +921,6 @@ fn worker_main<K: Bits>(
     queue: &mut Consumer<Stamped<K>>,
     stats: &EngineTelemetry,
     inject: &AtomicBool,
-    delay: Duration,
     deadline: Option<u64>,
     hook: Option<&BatchHook<K>>,
     tracer: Option<&RingWriter>,
@@ -1141,38 +937,21 @@ fn worker_main<K: Bits>(
             // the closing event of a convergence span.
             #[cfg(feature = "observe")]
             let mut last_version: u64 = 0;
-            while let Some((source, (enqueued, vrf, batch), depth)) =
-                queue.pop_entry(Some(&w.parks))
-            {
-                let popped = tsc::now();
+            while let Some(((enqueued, vrf, batch), depth)) = queue.pop_entry(Some(&w.parks)) {
+                let started = tsc::now();
                 w.queue_depth.set(depth as u64);
-                let wait = popped.saturating_sub(enqueued);
+                let wait = started.saturating_sub(enqueued);
                 w.queue_wait_ns.record(ns(wait));
                 // The per-batch sampling gate: decide once at dequeue so
                 // a sampled batch carries its whole ingress → dequeue →
                 // lookup slice coherently.
                 #[cfg(feature = "observe")]
                 let sampled = tracer.map(|t| t.tick()).unwrap_or(false);
-                // Deadline check at pop, *before* the chaos delay: the
-                // drop decision reflects only real queueing, so tests
-                // with a deterministic batch_delay get exact counts.
                 if deadline.is_some_and(|d| wait > d) {
                     w.deadline_dropped_batches.inc();
                     w.deadline_dropped_packets.add(batch.len() as u64);
-                    if source != NO_SOURCE {
-                        stats.sources()[source as usize]
-                            .deadline_dropped_batches
-                            .inc();
-                    }
                     continue;
                 }
-                // Service starts at pop, or after the chaos delay.
-                let started = if delay.is_zero() {
-                    popped
-                } else {
-                    std::thread::sleep(delay);
-                    tsc::now()
-                };
                 if inject.swap(false, Ordering::Relaxed) {
                     panic!("injected worker fault");
                 }
@@ -1223,7 +1002,7 @@ fn worker_main<K: Bits>(
                         let (enq_ns, start_ns, end_ns) = (at(enqueued), at(started), now_ns);
                         let wait_ns = ns(wait);
                         t.record_at(enq_ns, EventKind::IngressEnqueue, 0, batch.len() as u64, 0);
-                        t.record_at(at(popped), EventKind::BatchDequeue, 0, wait_ns, 0);
+                        t.record_at(start_ns, EventKind::BatchDequeue, 0, wait_ns, 0);
                         t.record_at(
                             start_ns,
                             EventKind::LookupStart,
@@ -1247,9 +1026,6 @@ fn worker_main<K: Bits>(
                         last_version = version;
                         t.record(EventKind::SnapshotAdopt, 0, version, idx as u32);
                     }
-                }
-                if source != NO_SOURCE {
-                    stats.sources()[source as usize].delivered_batches.inc();
                 }
                 if let Some(h) = hook {
                     h(idx, &batch, &out, snap.version());

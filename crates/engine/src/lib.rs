@@ -16,11 +16,9 @@
 //!   the one `SharedFib` handed to [`Engine::start`];
 //! * **bounded queues everywhere** with non-blocking producers and drop
 //!   accounting (backpressure sheds load, it never blocks the feeder);
-//! * **QoS** ([`QosPolicy`]): per-source weighted queue shares
-//!   ([`EngineConfig::source`] / [`Engine::ingress_for`]) and an
-//!   optional deadline-drop policy — admitted batches whose queue wait
-//!   exceeds the deadline are dropped at pop with exact accounting
-//!   instead of served late;
+//! * **QoS** ([`QosPolicy`]): an optional deadline-drop policy —
+//!   admitted batches whose queue wait exceeds the deadline are dropped
+//!   at pop with exact accounting instead of served late;
 //! * **tail latency**: per-worker queue-wait and service-time
 //!   `Log2Histogram`s, summarized to p50/p99/p99.9 in the report
 //!   ([`LatencySummary`]);
@@ -68,14 +66,14 @@ mod queue;
 mod stats;
 
 pub use engine::{
-    source_quotas, BadIndex, BatchHook, Control, Engine, EngineConfig, EngineReport, Ingress,
-    LatencySummary, PublishHook, QosPolicy, SourceReport, WorkerReport,
+    BadIndex, BatchHook, Control, Engine, EngineConfig, EngineReport, Ingress, LatencySummary,
+    PublishHook, QosPolicy, WorkerReport,
 };
-pub use stats::{EngineTelemetry, SourceStats, WorkerStats};
+pub use stats::{EngineTelemetry, WorkerStats};
 
 pub use affinity::{pin_current_thread, NumaTopology};
 
-pub use poptrie::{SourceId, VrfId};
+pub use poptrie::VrfId;
 pub use poptrie_vrf::VrfTable;
 
 /// One-line import of the engine vocabulary plus the `poptrie` types an
@@ -83,7 +81,7 @@ pub use poptrie_vrf::VrfTable;
 pub mod prelude {
     pub use crate::{
         Control, Engine, EngineConfig, EngineReport, EngineTelemetry, Ingress, LatencySummary,
-        QosPolicy, SourceId, SourceReport, VrfId, VrfTable,
+        QosPolicy, VrfId, VrfTable,
     };
     pub use poptrie::prelude::{
         Applied, NextHop, PoptrieConfig, Prefix, RouteUpdate, SharedFib, UpdateError, NO_ROUTE,

@@ -20,12 +20,6 @@
 //! consumer never reads the tail or a lock while items flow. Positions
 //! never wrap: 2⁶² pushes at one per nanosecond take 146 years.
 //!
-//! **Quotas.** Each registered source has an atomic occupancy counter,
-//! sized when the ring is made. A push from a source first takes one of
-//! its slots by CAS (refused at the quota) and the consumer gives it
-//! back when it pops the item, so a heavy source exhausts its own share
-//! while lighter sources still get in.
-//!
 //! **Idle policy.** A consumer that finds its head slot empty polls that
 //! one slot for a fixed idle budget measured on the TSC
 //! ([`WORKER_IDLE`] for forwarding workers, [`WRITER_IDLE`] for the
@@ -80,17 +74,12 @@ const CLOSED: usize = 1;
 /// producer can retarget it (e.g. try the next worker's ring).
 #[derive(Debug)]
 pub enum PushError<T> {
-    /// The ring is at capacity (or the pushing source exhausted its slot
-    /// quota); shedding load is the caller's decision.
+    /// The ring is at capacity; shedding load is the caller's decision.
     Full(T),
     /// The ring was closed by [`Ring::close`]; no more items will ever
     /// be accepted.
     Closed(T),
 }
-
-/// Source tag for items pushed without a source ([`Ring::try_push`]):
-/// exempt from quota accounting.
-pub const NO_SOURCE: u32 = u32::MAX;
 
 /// One ring slot on its own cache line, so a producer filling one slot
 /// never invalidates the slot the consumer is reading.
@@ -99,7 +88,7 @@ struct Slot<T> {
     /// `2·pos` while free for position `pos`, `2·pos + 1` once it holds
     /// that position's item.
     seq: AtomicUsize,
-    entry: UnsafeCell<MaybeUninit<(u32, T)>>,
+    entry: UnsafeCell<MaybeUninit<T>>,
 }
 
 /// The producer side of the ring, shared by every producer and by
@@ -112,8 +101,6 @@ pub struct Ring<T> {
     head: CachePadded<AtomicUsize>,
     /// Set by a consumer about to park (see the module docs).
     parked: CachePadded<AtomicBool>,
-    /// Slots held per registered source.
-    occupancy: Box<[CachePadded<AtomicUsize>]>,
     slots: Box<[Slot<T>]>,
     /// Guards only the park/wake hand-off, never an item.
     lock: Mutex<()>,
@@ -138,18 +125,14 @@ impl<T> core::fmt::Debug for Ring<T> {
     }
 }
 
-/// A ring of `capacity` slots (minimum 1) with quota counters for
-/// `sources` registered sources, and its single consumer, which polls
-/// for `idle` before it parks.
-pub fn ring<T>(capacity: usize, sources: usize, idle: Duration) -> (Arc<Ring<T>>, Consumer<T>) {
+/// A ring of `capacity` slots (minimum 1) and its single consumer, which
+/// polls for `idle` before it parks.
+pub fn ring<T>(capacity: usize, idle: Duration) -> (Arc<Ring<T>>, Consumer<T>) {
     let cycles = |d: Duration| tsc::ns_to_cycles(d.as_nanos() as u64);
     let ring = Arc::new(Ring {
         tail: CachePadded(AtomicUsize::new(0)),
         head: CachePadded(AtomicUsize::new(0)),
         parked: CachePadded(AtomicBool::new(false)),
-        occupancy: (0..sources)
-            .map(|_| CachePadded(AtomicUsize::new(0)))
-            .collect(),
         slots: (0..capacity.max(1))
             .map(|pos| Slot {
                 seq: AtomicUsize::new(2 * pos),
@@ -174,46 +157,13 @@ impl<T> Ring<T> {
         &self.slots[pos % self.slots.len()]
     }
 
-    /// Non-blocking push with no source tag and no quota: only the
-    /// capacity bounds admission. On failure hands the item back.
+    /// Non-blocking push: only the capacity bounds admission. On failure
+    /// hands the item back.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        self.try_push_from(NO_SOURCE, usize::MAX, item)
-    }
-
-    /// Non-blocking push attributed to `source`, which may hold at most
-    /// `quota` slots of this ring at once — the QoS weighted-share
-    /// mechanism. Quota is the *caller's* per-source slot budget (derived
-    /// from its weight); the ring just enforces whatever budget each
-    /// push presents. `NO_SOURCE` pushes bypass quota accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `source` is neither `NO_SOURCE` nor below the
-    /// `sources` count the ring was made with.
-    pub fn try_push_from(&self, source: u32, quota: usize, item: T) -> Result<(), PushError<T>> {
-        let occupancy = (source != NO_SOURCE).then(|| &self.occupancy[source as usize].0);
-        if let Some(held) = occupancy {
-            let took = held.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < quota).then_some(n + 1)
-            });
-            if took.is_err() {
-                return Err(if self.is_closed() {
-                    PushError::Closed(item)
-                } else {
-                    PushError::Full(item)
-                });
-            }
-        }
-        let refuse = |err: fn(T) -> PushError<T>, item| {
-            if let Some(held) = occupancy {
-                held.fetch_sub(1, Ordering::Relaxed);
-            }
-            Err(err(item))
-        };
         let mut tail = self.tail.0.load(Ordering::Relaxed);
         let pos = loop {
             if tail & CLOSED != 0 {
-                return refuse(PushError::Closed, item);
+                return Err(PushError::Closed(item));
             }
             let pos = tail >> 1;
             let seq = self.slot(pos).seq.load(Ordering::Acquire);
@@ -231,7 +181,7 @@ impl<T> Ring<T> {
                 }
             } else if seq < 2 * pos {
                 // The slot still holds the item from one lap back.
-                return refuse(PushError::Full, item);
+                return Err(PushError::Full(item));
             } else {
                 // Another producer claimed `pos` first.
                 tail = self.tail.0.load(Ordering::Relaxed);
@@ -242,7 +192,7 @@ impl<T> Ring<T> {
         // the Acquire load of `seq == 2·pos` ordered the consumer's read
         // of the slot's previous item before this write. Nobody reads
         // the slot until the Release store below.
-        unsafe { (*slot.entry.get()).write((source, item)) };
+        unsafe { (*slot.entry.get()).write(item) };
         slot.seq.store(2 * pos + 1, Ordering::Release);
         // Dekker with `Consumer::park`: publish, fence, then look for a
         // parked consumer.
@@ -252,10 +202,6 @@ impl<T> Ring<T> {
             self.wake.notify_one();
         }
         Ok(())
-    }
-
-    fn is_closed(&self) -> bool {
-        self.tail.0.load(Ordering::Acquire) & CLOSED != 0
     }
 
     /// Close the ring: producers are refused from now on; the consumer
@@ -326,7 +272,7 @@ impl<T> Consumer<T> {
     }
 
     /// Take the head item; the caller saw it published.
-    fn take(&mut self) -> (u32, T) {
+    fn take(&mut self) -> T {
         let pos = self.head;
         let slot = self.ring.slot(pos);
         // SAFETY: the Acquire load of `seq == 2·pos + 1` in `published`
@@ -334,17 +280,12 @@ impl<T> Consumer<T> {
         // and only this consumer (owned, not `Clone`) reads position
         // `pos`. The store below hands the slot to the next lap, so the
         // item is read exactly once.
-        let (source, item) = unsafe { (*slot.entry.get()).assume_init_read() };
+        let item = unsafe { (*slot.entry.get()).assume_init_read() };
         slot.seq
             .store(2 * (pos + self.ring.slots.len()), Ordering::Release);
         self.head = pos + 1;
         self.ring.head.0.store(self.head, Ordering::Release);
-        if source != NO_SOURCE {
-            self.ring.occupancy[source as usize]
-                .0
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-        (source, item)
+        item
     }
 
     /// Items published behind the head.
@@ -398,7 +339,7 @@ impl<T> Consumer<T> {
         let ring = &*self.ring;
         let guard = ring.lock.lock().unwrap_or_else(PoisonError::into_inner);
         ring.parked.0.store(true, Ordering::Relaxed);
-        // Dekker with `Ring::try_push_from`: flag, fence, recheck.
+        // Dekker with `Ring::try_push`: flag, fence, recheck.
         fence(Ordering::SeqCst);
         if !self.published(self.head) && ring.tail.0.load(Ordering::Relaxed) & CLOSED == 0 {
             if let Some(parks) = parks {
@@ -414,19 +355,18 @@ impl<T> Consumer<T> {
     /// `None` only when the ring is closed *and* drained.
     #[cfg(test)]
     pub fn pop(&mut self) -> Option<T> {
-        self.pop_entry(None).map(|(_, item, _)| item)
+        self.pop_entry(None).map(|(item, _)| item)
     }
 
-    /// Blocking pop that also returns the item's source tag (`NO_SOURCE`
-    /// for untagged pushes) — the worker attributes deadline drops and
-    /// deliveries per source — and the number of items published behind
-    /// it (the worker's queue-depth gauge). Parks are counted in `parks`.
-    pub fn pop_entry(&mut self, parks: Option<&Counter>) -> Option<(u32, T, usize)> {
+    /// Blocking pop that also returns the number of items published
+    /// behind the item (the worker's queue-depth gauge). Parks are
+    /// counted in `parks`.
+    pub fn pop_entry(&mut self, parks: Option<&Counter>) -> Option<(T, usize)> {
         if !self.wait(parks) {
             return None;
         }
-        let (source, item) = self.take();
-        Some((source, item, self.depth()))
+        let item = self.take();
+        Some((item, self.depth()))
     }
 
     /// Blocking bulk pop: waits until at least one item is available,
@@ -439,7 +379,7 @@ impl<T> Consumer<T> {
             return false;
         }
         while buf.len() < max && self.published(self.head) {
-            buf.push(self.take().1);
+            buf.push(self.take());
         }
         true
     }

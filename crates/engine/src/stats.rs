@@ -35,9 +35,8 @@ pub struct WorkerStats {
     /// up (includes deadline-dropped batches — their wait is exactly why
     /// they were dropped).
     pub queue_wait_ns: Log2Histogram,
-    /// Nanoseconds of service time per served batch: from pop (or the
-    /// end of the chaos delay) through snapshot acquire and
-    /// `lookup_batch`.
+    /// Nanoseconds of service time per served batch: from pop through
+    /// snapshot acquire and `lookup_batch`.
     pub service_ns: Log2Histogram,
     /// Batches dropped at pop because their queue wait exceeded the
     /// deadline ([`QosPolicy::Deadline`](crate::QosPolicy::Deadline)).
@@ -46,33 +45,12 @@ pub struct WorkerStats {
     pub deadline_dropped_packets: Counter,
 }
 
-/// Per-source QoS counters (see
-/// [`EngineConfig::source`](crate::EngineConfig::source)).
-#[derive(Debug)]
-pub struct SourceStats {
-    /// The source's registered name (label in the exposition surface).
-    pub name: String,
-    /// The source's registered weight.
-    pub weight: u32,
-    /// Per-worker-queue slot quota derived from the weight.
-    pub quota: usize,
-    /// Batches this source got accepted into a queue.
-    pub submitted_batches: Counter,
-    /// Batches refused at ingress (queue full or quota exhausted).
-    pub refused_batches: Counter,
-    /// Batches from this source served to completion.
-    pub delivered_batches: Counter,
-    /// Batches from this source dropped at pop by the deadline policy.
-    pub deadline_dropped_batches: Counter,
-}
-
 /// All engine counters, shared by workers, the control-plane writer,
 /// and the ingress handles. Obtain from
 /// [`Engine::telemetry`](crate::Engine::telemetry).
 #[derive(Debug)]
 pub struct EngineTelemetry {
     workers: Vec<WorkerStats>,
-    sources: Vec<SourceStats>,
     /// Batches accepted into some worker queue.
     pub submitted_batches: Counter,
     /// Batches refused because every eligible queue was full
@@ -117,23 +95,10 @@ pub struct EngineTelemetry {
 }
 
 impl EngineTelemetry {
-    /// Fresh zeroed counters for `workers` worker threads and the given
-    /// registered sources (`(name, weight, quota)` triples).
-    pub(crate) fn new(workers: usize, sources: &[(String, u32, usize)]) -> Self {
+    /// Fresh zeroed counters for `workers` worker threads.
+    pub(crate) fn new(workers: usize) -> Self {
         EngineTelemetry {
             workers: (0..workers).map(|_| WorkerStats::default()).collect(),
-            sources: sources
-                .iter()
-                .map(|(name, weight, quota)| SourceStats {
-                    name: name.clone(),
-                    weight: *weight,
-                    quota: *quota,
-                    submitted_batches: Counter::new(),
-                    refused_batches: Counter::new(),
-                    delivered_batches: Counter::new(),
-                    deadline_dropped_batches: Counter::new(),
-                })
-                .collect(),
             submitted_batches: Counter::new(),
             dropped_batches: Counter::new(),
             dropped_packets: Counter::new(),
@@ -160,19 +125,6 @@ impl EngineTelemetry {
     /// All per-worker counter blocks, indexed by worker.
     pub fn workers(&self) -> &[WorkerStats] {
         &self.workers
-    }
-
-    /// Counters for registered source `i`, or `None` when `i` is not a
-    /// registered source index. (Bounds-checked by design: fault
-    /// harnesses probe telemetry with hostile indices, and a scrape must
-    /// never panic the caller.)
-    pub fn source(&self, i: usize) -> Option<&SourceStats> {
-        self.sources.get(i)
-    }
-
-    /// All per-source counter blocks, indexed by registration order.
-    pub fn sources(&self) -> &[SourceStats] {
-        &self.sources
     }
 
     /// Total batches dropped by the deadline policy across all workers.
@@ -292,33 +244,6 @@ impl EngineTelemetry {
                     h.sum(),
                 );
             }
-        }
-        for s in &self.sources {
-            let labels: &[(&str, &str)] = &[("source", s.name.as_str())];
-            reg.counter(
-                "poptrie_engine_source_submitted_batches_total",
-                "Batches accepted into a queue, per registered source.",
-                labels,
-                s.submitted_batches.get(),
-            );
-            reg.counter(
-                "poptrie_engine_source_refused_batches_total",
-                "Batches refused at ingress (queue full or quota exhausted), per source.",
-                labels,
-                s.refused_batches.get(),
-            );
-            reg.counter(
-                "poptrie_engine_source_delivered_batches_total",
-                "Batches served to completion, per source.",
-                labels,
-                s.delivered_batches.get(),
-            );
-            reg.counter(
-                "poptrie_engine_source_deadline_dropped_batches_total",
-                "Batches dropped by the deadline policy, per source.",
-                labels,
-                s.deadline_dropped_batches.get(),
-            );
         }
         reg.counter(
             "poptrie_engine_submitted_batches_total",

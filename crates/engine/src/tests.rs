@@ -3,10 +3,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use poptrie::prelude::*;
-use poptrie::{SourceId, VrfId};
+use poptrie::VrfId;
 
 use crate::queue::{ring, PushError, Ring, WORKER_IDLE};
-use crate::{Engine, EngineConfig, QosPolicy, VrfTable};
+use crate::{BatchHook, Engine, EngineConfig, QosPolicy, VrfTable};
 
 fn p4(s: &str) -> Prefix<u32> {
     s.parse().unwrap()
@@ -27,6 +27,13 @@ fn shared(routes: &[(&str, u16)]) -> Arc<SharedFib<u32>> {
     fib
 }
 
+/// An `on_batch` hook that stalls the worker for `d` after every served
+/// batch: a slow egress path, so the batches behind it queue
+/// deterministically.
+fn stall(d: Duration) -> BatchHook<u32> {
+    Arc::new(move |_: usize, _: &[u32], _: &[NextHop], _: u64| std::thread::sleep(d))
+}
+
 mod queue {
     use super::*;
     use poptrie_rng::prelude::*;
@@ -38,7 +45,7 @@ mod queue {
 
     #[test]
     fn bounded_push_pop_fifo() {
-        let (q, mut rx) = ring::<u32>(3, 0, IDLE);
+        let (q, mut rx) = ring::<u32>(3, IDLE);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.try_push(3).unwrap();
@@ -54,7 +61,7 @@ mod queue {
 
     #[test]
     fn close_refuses_producers_but_drains_consumers() {
-        let (q, mut rx) = ring::<u32>(8, 0, IDLE);
+        let (q, mut rx) = ring::<u32>(8, IDLE);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.close();
@@ -66,7 +73,7 @@ mod queue {
 
     #[test]
     fn close_wakes_blocked_consumer() {
-        let (q, mut rx) = ring::<u32>(8, 0, IDLE);
+        let (q, mut rx) = ring::<u32>(8, IDLE);
         let consumer = std::thread::spawn(move || rx.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
@@ -74,55 +81,22 @@ mod queue {
     }
 
     #[test]
-    fn per_source_quota_is_enforced_and_released() {
-        let (q, mut rx) = ring::<u32>(8, 2, IDLE);
-        // Source 0 has a 2-slot quota: the third push is refused even
-        // though the ring itself has room.
-        assert!(q.try_push_from(0, 2, 10).is_ok());
-        assert!(q.try_push_from(0, 2, 11).is_ok());
-        assert!(matches!(
-            q.try_push_from(0, 2, 12),
-            Err(PushError::Full(12))
-        ));
-        // Another source and untagged pushes are unaffected.
-        assert!(q.try_push_from(1, 2, 20).is_ok());
-        assert!(q.try_push(30).is_ok());
-        // Popping a source-0 item releases its slot.
-        assert_eq!(rx.pop_entry(None), Some((0, 10, 3)));
-        assert!(q.try_push_from(0, 2, 12).is_ok());
-        // FIFO order is preserved across sources.
-        assert_eq!(rx.pop_entry(None), Some((0, 11, 3)));
-        assert_eq!(rx.pop_entry(None), Some((1, 20, 2)));
-        assert_eq!(rx.pop(), Some(30));
-        assert_eq!(rx.pop(), Some(12));
-    }
-
-    #[test]
     fn pop_entry_reports_the_depth_left_behind() {
         for k in 1..=6usize {
-            let (q, mut rx) = ring::<usize>(8, 0, IDLE);
+            let (q, mut rx) = ring::<usize>(8, IDLE);
             for i in 0..k {
                 q.try_push(i).unwrap();
             }
             for j in 1..=k {
-                let (_, item, depth) = rx.pop_entry(None).unwrap();
+                let (item, depth) = rx.pop_entry(None).unwrap();
                 assert_eq!((item, depth), (j - 1, k - j), "k={k} j={j}");
             }
         }
     }
 
     #[test]
-    fn total_capacity_still_bounds_quota_pushes() {
-        let (q, _rx) = ring::<u32>(2, 3, IDLE);
-        assert!(q.try_push_from(0, 10, 1).is_ok());
-        assert!(q.try_push_from(1, 10, 2).is_ok());
-        // Quotas allow more, capacity does not.
-        assert!(matches!(q.try_push_from(2, 10, 3), Err(PushError::Full(3))));
-    }
-
-    #[test]
     fn pop_up_to_respects_window() {
-        let (q, mut rx) = ring::<u32>(8, 0, IDLE);
+        let (q, mut rx) = ring::<u32>(8, IDLE);
         for i in 0..5 {
             q.try_push(i).unwrap();
         }
@@ -156,7 +130,7 @@ mod queue {
     fn ring_is_exactly_once_and_fifo_per_producer() {
         const PRODUCERS: usize = 4;
         const ITEMS: usize = 100_000;
-        let (q, mut rx) = ring::<(usize, usize)>(8, 0, WORKER_IDLE);
+        let (q, mut rx) = ring::<(usize, usize)>(8, WORKER_IDLE);
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let q = Arc::clone(&q);
@@ -194,7 +168,7 @@ mod queue {
                 )
             },
             |(capacity, producers, items, close_after)| {
-                let (q, mut rx) = ring::<(usize, usize)>(capacity, 0, IDLE);
+                let (q, mut rx) = ring::<(usize, usize)>(capacity, IDLE);
                 let consumer = std::thread::spawn(move || {
                     let mut got = Vec::new();
                     while let Some(item) = rx.pop() {
@@ -234,7 +208,7 @@ mod queue {
 
     #[test]
     fn no_lost_wakeup_after_park() {
-        let (q, mut rx) = ring::<u64>(4, 0, IDLE);
+        let (q, mut rx) = ring::<u64>(4, IDLE);
         let parks = Arc::new(Counter::new());
         // The last item popped; the main thread spins on it rather than
         // parking, so each round times the consumer's wake-up alone.
@@ -242,7 +216,7 @@ mod queue {
         let consumer = {
             let (parks, popped) = (Arc::clone(&parks), Arc::clone(&popped));
             std::thread::spawn(move || {
-                while let Some((_, item, _)) = rx.pop_entry(Some(&parks)) {
+                while let Some((item, _)) = rx.pop_entry(Some(&parks)) {
                     popped.store(item, Ordering::Release);
                 }
             })
@@ -368,19 +342,19 @@ mod engine {
     #[test]
     fn backpressure_drops_are_counted_deterministically() {
         let fib = shared(&[("10.0.0.0/8", 1)]);
-        // One worker, queue of 1, and a large per-batch delay: with the
-        // worker stalled, the second queued batch and the overflow are
-        // deterministic.
+        // One worker, queue of 1, and a 200 ms stall after each batch:
+        // with the worker stalled, the second queued batch and the
+        // overflow are deterministic.
         let engine = Engine::start(
             Arc::clone(&fib),
             EngineConfig::new(1)
                 .pin_workers(false)
                 .queue_capacity(1)
-                .batch_delay(Duration::from_millis(200)),
+                .on_batch(stall(Duration::from_millis(200))),
         );
         let ingress = engine.ingress();
         let batch: Arc<[u32]> = Arc::from(vec![0x0A00_0001u32]);
-        // First submit is taken by the worker (it blocks in the delay);
+        // First submit is taken by the worker (it blocks in the stall);
         // second fills the queue; keep submitting until a drop occurs.
         let mut drops = 0;
         for _ in 0..8 {
@@ -394,6 +368,8 @@ mod engine {
         assert_eq!(report.dropped_batches, drops);
         assert_eq!(report.packets + drops, 8);
         assert!(report.drained_clean);
+        // The stall runs after the service stamp: it is nobody's service.
+        assert!(report.service.p50_ns < 20_000_000, "{:?}", report.service);
     }
 
     #[test]
@@ -422,16 +398,16 @@ mod engine {
     #[test]
     fn deadline_policy_drops_stale_batches_with_exact_accounting() {
         let fib = shared(&[("10.0.0.0/8", 1)]);
-        // One worker with a 200 ms service stall and a 100 ms deadline:
-        // the first batch is popped fresh and served; the three queued
-        // behind it wait >= 200 ms and are dropped at pop, before the
-        // stall, so the counts are exact.
+        // One worker with a 200 ms stall after each batch and a 100 ms
+        // deadline: the first batch is popped fresh and served; the three
+        // queued behind it wait >= 200 ms and are dropped at pop, so the
+        // counts are exact.
         let engine = Engine::start(
             Arc::clone(&fib),
             EngineConfig::new(1)
                 .pin_workers(false)
                 .queue_capacity(8)
-                .batch_delay(Duration::from_millis(200))
+                .on_batch(stall(Duration::from_millis(200)))
                 .qos(QosPolicy::Deadline(Duration::from_millis(100))),
         );
         let ingress = engine.ingress();
@@ -457,6 +433,8 @@ mod engine {
         assert_eq!(report.queue_wait.samples, 4);
         assert_eq!(report.service.samples, 1);
         assert_eq!(report.workers[0].deadline_dropped_batches, 3);
+        // The stall is queue wait for the batches behind it, not service.
+        assert!(report.service.p50_ns < 20_000_000, "{:?}", report.service);
     }
 
     #[test]
@@ -467,7 +445,7 @@ mod engine {
             EngineConfig::new(1)
                 .pin_workers(false)
                 .queue_capacity(8)
-                .batch_delay(Duration::from_millis(50)),
+                .on_batch(stall(Duration::from_millis(50))),
         );
         let ingress = engine.ingress();
         let batch: Arc<[u32]> = Arc::from(vec![0x0A00_0001u32]);
@@ -482,97 +460,6 @@ mod engine {
         // Tail quantiles are monotone by construction.
         let qw = report.queue_wait;
         assert!(qw.p50_ns <= qw.p99_ns && qw.p99_ns <= qw.p999_ns);
-    }
-
-    #[test]
-    fn weighted_sources_share_a_queue_by_quota() {
-        let fib = shared(&[("10.0.0.0/8", 1)]);
-        // capacity 4, weights 3:1 -> quotas 3 and 1.
-        let engine = Engine::start(
-            Arc::clone(&fib),
-            EngineConfig::new(1)
-                .pin_workers(false)
-                .queue_capacity(4)
-                .batch_delay(Duration::from_millis(200))
-                .source("bulk", 3)
-                .source("scavenger", 1),
-        );
-        let bulk = engine.ingress_for(SourceId::new(0)).unwrap();
-        let scavenger = engine.ingress_for(SourceId::new(1)).unwrap();
-        assert_eq!(bulk.quota(), 3);
-        assert_eq!(scavenger.quota(), 1);
-
-        // Stall the worker with an untagged batch so the queue fills
-        // deterministically behind it.
-        let batch: Arc<[u32]> = Arc::from(vec![0x0A00_0001u32]);
-        engine.ingress().try_submit(Arc::clone(&batch)).unwrap();
-        std::thread::sleep(Duration::from_millis(50)); // worker is now stalled serving it
-
-        // The scavenger gets exactly its one slot; the flood is refused.
-        assert!(scavenger.try_submit(Arc::clone(&batch)).is_ok());
-        assert!(scavenger.try_submit(Arc::clone(&batch)).is_err());
-        // Bulk still gets its three slots despite the scavenger's item.
-        for _ in 0..3 {
-            assert!(bulk.try_submit(Arc::clone(&batch)).is_ok());
-        }
-        assert!(bulk.try_submit(Arc::clone(&batch)).is_err());
-
-        let report = engine.shutdown(Duration::from_secs(10));
-        assert!(report.drained_clean);
-        assert_eq!(report.sources.len(), 2);
-        let b = &report.sources[0];
-        assert_eq!((b.name.as_str(), b.weight, b.quota), ("bulk", 3, 3));
-        assert_eq!(b.submitted_batches, 3);
-        assert_eq!(b.refused_batches, 1);
-        assert_eq!(b.delivered_batches, 3);
-        let s = &report.sources[1];
-        assert_eq!((s.name.as_str(), s.weight, s.quota), ("scavenger", 1, 1));
-        assert_eq!(s.submitted_batches, 1);
-        assert_eq!(s.refused_batches, 1);
-        assert_eq!(s.delivered_batches, 1);
-        // Per-source identity: submitted == delivered + deadline-dropped.
-        for src in &report.sources {
-            assert_eq!(
-                src.submitted_batches,
-                src.delivered_batches + src.deadline_dropped_batches
-            );
-        }
-    }
-
-    #[test]
-    fn quota_apportionment_never_oversubscribes_the_queue() {
-        use crate::source_quotas;
-        // Regression (ISSUE 7): the old `max(1, cap·w/Σw)` formula gave
-        // this shape quotas 7,1,1,1,1,1 — sum 12 against a capacity of
-        // 8, so the "weighted shares" could jointly overcommit the
-        // queue. Largest-remainder apportionment must hit the capacity
-        // exactly while keeping every source at ≥ 1 slot.
-        let q = source_quotas(8, &[100, 1, 1, 1, 1, 1]);
-        assert_eq!(q.iter().sum::<usize>(), 8);
-        assert!(q.iter().all(|&x| x >= 1));
-        assert!(q[0] > q[1], "the heavy source keeps the largest share");
-
-        // The documented shapes stay put: cap 4 at weights 3:1 -> 3,1.
-        assert_eq!(source_quotas(4, &[3, 1]), vec![3, 1]);
-        // Equal weights split evenly, remainders to the earliest.
-        assert_eq!(source_quotas(10, &[1, 1, 1]), vec![4, 3, 3]);
-        // Degenerate more-sources-than-slots case: the per-source floor
-        // wins and the queue capacity itself bounds admission.
-        assert_eq!(source_quotas(2, &[5, 5, 5]), vec![1, 1, 1]);
-        assert_eq!(source_quotas(0, &[7]), vec![1]);
-        assert!(source_quotas(8, &[]).is_empty());
-
-        // Sweep: for any mix with n <= cap the sum is exactly cap.
-        for cap in 1..=32usize {
-            for weights in [vec![1u32; cap], vec![3, 1], vec![7, 2, 2], vec![1000, 1]] {
-                if weights.len() > cap {
-                    continue;
-                }
-                let q = source_quotas(cap, &weights);
-                assert_eq!(q.iter().sum::<usize>(), cap, "cap={cap} w={weights:?}");
-                assert!(q.iter().all(|&x| x >= 1));
-            }
-        }
     }
 
     #[test]
@@ -810,8 +697,12 @@ mod engine {
 
         // Same prefix, three tables, three different answers: the (VRF,
         // prefix) coalescing key must keep all three.
-        control.announce_vrf(a, p4("10.0.0.0/8"), 11).unwrap();
-        control.announce_vrf(b, p4("10.0.0.0/8"), 22).unwrap();
+        control
+            .send_vrf(a, RouteUpdate::Announce(p4("10.0.0.0/8"), 11))
+            .unwrap();
+        control
+            .send_vrf(b, RouteUpdate::Announce(p4("10.0.0.0/8"), 22))
+            .unwrap();
         control.announce(p4("11.0.0.0/8"), 7).unwrap();
         // Hostile ids are refused at the edge, drop counted.
         assert!(control

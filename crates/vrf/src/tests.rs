@@ -377,12 +377,18 @@ fn burst_opens_one_epoch_and_publishes_each_tenant_once() {
 
     let epoch = vrfs.intern_stats().unwrap().epoch;
     let versions: Vec<u64> = ids.iter().map(|&id| version(id)).collect();
+    // A reader holds tenant 0's snapshot across the burst, so its pin
+    // keeps what the burst retires; an unheld retired snapshot drops its
+    // pin at the swap.
+    let held = vrfs.snapshot(ids[0]).unwrap();
     burst(&mut rng, &mut ribs);
     assert_eq!(vrfs.intern_stats().unwrap().epoch, epoch + 1, "one epoch");
     for (t, &id) in ids.iter().enumerate() {
         assert_eq!(version(id), versions[t] + 1, "tenant {t}: one publish");
     }
     assert!(pending(&vrfs) > 0, "the burst retired shared extents");
+    assert_eq!(pending(&twin), 0, "no reader held the twin's snapshots");
+    drop(held);
 
     // Tenant 0 published first, then the others released the extents
     // they shared with it, and the burst collected.
@@ -477,9 +483,10 @@ fn interning_cuts_bytes_per_route_by_a_quarter() {
 }
 
 /// A tenant that never publishes holds none of the extents the others
-/// retire. With no outside snapshot held, 30 bursts over two tenants and
-/// then two empty publishes per churned tenant leave nothing pending,
-/// and every tenant, the idle one too, still answers like its RIB.
+/// retire, and neither does one that published once and then went idle.
+/// With no outside snapshot held, 30 bursts over two tenants and then two
+/// empty publishes per churned tenant leave nothing pending, and every
+/// tenant, the idle ones too, still answers like its RIB.
 #[test]
 fn idle_tenant_does_not_hold_retired_extents() {
     let mut rng = StdRng::seed_from_u64(13);
@@ -487,6 +494,8 @@ fn idle_tenant_does_not_hold_retired_extents() {
     let vrfs: VrfTable<u32> = VrfTable::shared(cfg(), 1 << 16);
     let ids: Vec<VrfId> = (0..2).map(|_| vrfs.create_from(base.clone())).collect();
     let idle = vrfs.create_from(base.clone());
+    let went_idle = vrfs.create_from(base.clone());
+    vrfs.update_batch(went_idle, []);
     let mut ribs = vec![base.clone(); 2];
     let prefixes: Vec<Prefix<u32>> = base.iter().map(|(p, _)| p).collect();
     for shared in prefixes.chunks(40).take(30) {
@@ -499,8 +508,8 @@ fn idle_tenant_does_not_hold_retired_extents() {
     }
     let stats = vrfs.intern_stats().unwrap();
     assert_eq!(stats.pending_blocks, 0, "{stats:?}");
-    ribs.push(base);
-    for (id, rib) in ids.into_iter().chain([idle]).zip(&ribs) {
+    ribs.extend([base.clone(), base]);
+    for (id, rib) in ids.into_iter().chain([idle, went_idle]).zip(&ribs) {
         let snap = vrfs.snapshot(id).unwrap();
         for _ in 0..4_000 {
             let k: u32 = rng.gen();

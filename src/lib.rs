@@ -80,10 +80,9 @@ pub use poptrie_vrf as vrf;
 /// forwarding-engine and VRF types.
 pub mod prelude {
     pub use poptrie::prelude::*;
-    pub use poptrie::{SourceId, VrfId};
+    pub use poptrie::VrfId;
     pub use poptrie_engine::{
         Control, Engine, EngineConfig, EngineReport, Ingress, LatencySummary, QosPolicy,
-        SourceReport,
     };
     pub use poptrie_vrf::{InternStats, VrfMemory, VrfTable};
 }

@@ -67,9 +67,10 @@ fn deadline_drops_account_every_packet_exactly_once_under_churn() {
 
     let served: Arc<Mutex<Vec<ServedBatch>>> = Arc::new(Mutex::new(Vec::new()));
     let published: Arc<Mutex<Vec<Publish>>> = Arc::new(Mutex::new(Vec::new()));
-    // Two workers, each stalled 20 ms per batch, with a 50 ms deadline:
-    // the driver offers ~10x the service capacity, so the surplus must
-    // be deadline-dropped (stale batches drain instantly at pop, so the
+    // Two workers, each stalled 20 ms after every served batch (a slow
+    // egress path in the batch hook), with a 50 ms deadline: the driver
+    // offers ~10x the service capacity, so the surplus must be
+    // deadline-dropped (stale batches drain instantly at pop, so the
     // queues rarely refuse).
     let engine = Engine::start(
         Arc::clone(&fib),
@@ -77,7 +78,6 @@ fn deadline_drops_account_every_packet_exactly_once_under_churn() {
             .pin_workers(false)
             .queue_capacity(8)
             .coalesce_window(16)
-            .batch_delay(Duration::from_millis(20))
             .qos(QosPolicy::Deadline(Duration::from_millis(50)))
             .on_batch({
                 let served = Arc::clone(&served);
@@ -86,6 +86,7 @@ fn deadline_drops_account_every_packet_exactly_once_under_churn() {
                         .lock()
                         .unwrap()
                         .push((keys.to_vec(), out.to_vec(), version));
+                    std::thread::sleep(Duration::from_millis(20));
                 })
             })
             .on_publish({
