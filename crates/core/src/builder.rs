@@ -8,6 +8,25 @@
 //! identical adjacent leaves collapse into one stored leaf (§3.3), with
 //! slots hidden behind internal children never breaking a run (the hole
 //! punching recovery of Figure 3).
+//!
+//! Route aggregation (§3) is decided during that same walk of the raw
+//! RIB; no aggregated copy of the tree is made. The builder chooses
+//! between a leaf and an internal child in two places: at a chunk's
+//! sixth level (`expand_chunk`) and at depth `s` (`fill_direct`).
+//! With aggregation on, a subtree there whose addresses all resolve to
+//! one next hop becomes a leaf holding that next hop, even if it holds
+//! longer prefixes. That next hop can differ from the subtree's own
+//! route when its children cover the whole range with another one. This
+//! is the collapse [`RadixTree::aggregated`] performs; the tests use it
+//! as the reference and check that both paths compile byte-identical
+//! tries. (A RIB holding [`NO_ROUTE`] as a next hop is the exception:
+//! the builder cannot tell that route from no route, so it may collapse
+//! more than the reference, with the same lookups.)
+//!
+//! Cost: a uniformity walk stops at the first next hop that disagrees,
+//! and a subtree is walked again only at the next slot boundary below
+//! it, six levels further down. A route `d` bits deep is thus walked at
+//! most once per slot boundary above it: `(d - s) / 6 + 1` times.
 
 use poptrie_bitops::Bits;
 use poptrie_buddy::Buddy;
@@ -130,13 +149,6 @@ impl<K: Bits, N: NodeRepr> Builder<K, N> {
         rib: &RadixTree<K, NextHop>,
         store: LeafStore,
     ) -> PoptrieImpl<K, N> {
-        let aggregated;
-        let rib = if self.aggregate {
-            aggregated = rib.aggregated();
-            &aggregated
-        } else {
-            rib
-        };
         let mut trie = PoptrieImpl {
             direct: Vec::new(),
             nodes: Vec::new(),
@@ -153,10 +165,10 @@ impl<K: Bits, N: NodeRepr> Builder<K, N> {
         if self.s == 0 {
             let root = alloc_nodes(&mut trie, 1);
             trie.root = root;
-            fill_node(&mut trie, root, rib.root(), NO_ROUTE);
+            fill_node(&mut trie, root, rib.root(), NO_ROUTE, self.aggregate);
         } else {
             trie.direct = vec![DIRECT_LEAF_BIT; 1usize << self.s];
-            fill_direct(&mut trie, rib.root(), NO_ROUTE, 0, 0);
+            fill_direct(&mut trie, rib.root(), NO_ROUTE, 0, 0, self.aggregate);
         }
         trie
     }
@@ -166,6 +178,30 @@ impl<K: Bits, N: NodeRepr> Builder<K, N> {
 #[inline]
 fn apply(value: Option<&NextHop>, inherited: NextHop) -> NextHop {
     value.copied().unwrap_or(inherited)
+}
+
+/// The next hop of a leaf standing for the radix subtree at `n` (under
+/// the inherited next hop `inherited`), or `None` when the subtree needs
+/// an internal node: it holds longer prefixes and, with `aggregate`, its
+/// addresses do not all resolve to one next hop.
+fn leaf_for(n: &RadixNode<NextHop>, inherited: NextHop, aggregate: bool) -> Option<NextHop> {
+    /// Whether every address below `n` resolves to `*first`, setting
+    /// `*first` from the first one met; stops at the first disagreement.
+    fn agrees(n: &RadixNode<NextHop>, inherited: NextHop, first: &mut Option<NextHop>) -> bool {
+        let nh = apply(n.value(), inherited);
+        if !n.has_children() {
+            return *first.get_or_insert(nh) == nh;
+        }
+        [false, true].into_iter().all(|bit| match n.child(bit) {
+            Some(c) => agrees(c, nh, first),
+            None => *first.get_or_insert(nh) == nh,
+        })
+    }
+    if n.has_children() && !aggregate {
+        return None;
+    }
+    let mut first = None;
+    agrees(n, inherited, &mut first).then(|| first.expect("a walk meets a next hop"))
 }
 
 /// Allocate a run of `n` node slots, growing the backing array to the
@@ -203,7 +239,7 @@ pub(crate) fn release_leaves<K: Bits, N: NodeRepr>(
 /// `leaf[v]` receives the longest-match next hop for chunk value `v`;
 /// `child[v]` receives the radix node (plus its inherited next hop) when
 /// the subtree below slot `v` holds longer prefixes and therefore needs an
-/// internal child.
+/// internal child — unless `aggregate` finds it resolves to one next hop.
 fn expand_chunk<'a>(
     node: Option<&'a RadixNode<NextHop>>,
     inherited: NextHop,
@@ -211,6 +247,7 @@ fn expand_chunk<'a>(
     base: usize,
     leaf: &mut [NextHop; 64],
     child: &mut [Option<ChildRef<'a>>; 64],
+    aggregate: bool,
 ) {
     let Some(n) = node else {
         let width = 1usize << (6 - depth);
@@ -218,18 +255,33 @@ fn expand_chunk<'a>(
         return;
     };
     if depth == 6 {
-        if n.has_children() {
+        match leaf_for(n, inherited, aggregate) {
+            Some(nh) => leaf[base] = nh,
             // The slot is "irrelevant" (Figure 3): a descendant internal
             // node exists, so the lookup never reads this leaf slot.
-            child[base] = Some((n, inherited));
-        } else {
-            leaf[base] = apply(n.value(), inherited);
+            None => child[base] = Some((n, inherited)),
         }
         return;
     }
     let inh = apply(n.value(), inherited);
-    expand_chunk(n.child(false), inh, depth + 1, base * 2, leaf, child);
-    expand_chunk(n.child(true), inh, depth + 1, base * 2 + 1, leaf, child);
+    expand_chunk(
+        n.child(false),
+        inh,
+        depth + 1,
+        base * 2,
+        leaf,
+        child,
+        aggregate,
+    );
+    expand_chunk(
+        n.child(true),
+        inh,
+        depth + 1,
+        base * 2 + 1,
+        leaf,
+        child,
+        aggregate,
+    );
 }
 
 /// The computed contents of one Poptrie node before placement: the two
@@ -243,15 +295,25 @@ pub(crate) struct ChunkSpec<'a> {
 }
 
 /// Compute a node's contents from the radix subtree at `radix` (whose
-/// covering prefix carries the next hop `inherited` from above). Shared
-/// by the from-scratch builder and the §3.5 incremental refresh.
+/// covering prefix carries the next hop `inherited` from above), applying
+/// §3's aggregation when `aggregate` is set. Shared by the from-scratch
+/// builder and the §3.5 incremental refresh (which never aggregates).
 pub(crate) fn compute_chunk<'a, N: NodeRepr>(
     radix: Option<&'a RadixNode<NextHop>>,
     inherited: NextHop,
+    aggregate: bool,
 ) -> ChunkSpec<'a> {
     let mut leaf_slot = [NO_ROUTE; 64];
     let mut child_slot: [Option<ChildRef<'a>>; 64] = [None; 64];
-    expand_chunk(radix, inherited, 0, 0, &mut leaf_slot, &mut child_slot);
+    expand_chunk(
+        radix,
+        inherited,
+        0,
+        0,
+        &mut leaf_slot,
+        &mut child_slot,
+        aggregate,
+    );
 
     let mut spec = ChunkSpec {
         vector: 0,
@@ -283,11 +345,13 @@ pub(crate) fn compute_chunk<'a, N: NodeRepr>(
 }
 
 /// Write a computed node into slot `idx`, allocating its leaf block, then
-/// build its children. The caller owns the block containing `idx` itself.
+/// build its children (aggregating them when `aggregate` is set). The
+/// caller owns the block containing `idx` itself.
 pub(crate) fn place_node<K: Bits, N: NodeRepr>(
     trie: &mut PoptrieImpl<K, N>,
     idx: u32,
     spec: ChunkSpec<'_>,
+    aggregate: bool,
 ) {
     let base0 = if spec.leaf_vals.is_empty() {
         0
@@ -305,31 +369,35 @@ pub(crate) fn place_node<K: Bits, N: NodeRepr>(
     );
     trie.inode_count += 1;
     for (i, (cnode, cinh)) in spec.children.into_iter().enumerate() {
-        fill_node(trie, base1 + i as u32, Some(cnode), cinh);
+        fill_node(trie, base1 + i as u32, Some(cnode), cinh, aggregate);
     }
 }
 
 /// Build the node at index `idx` from the radix subtree rooted at `radix`,
-/// then recurse into its internal children.
+/// then recurse into its internal children, aggregating when `aggregate`
+/// is set.
 pub(crate) fn fill_node<K: Bits, N: NodeRepr>(
     trie: &mut PoptrieImpl<K, N>,
     idx: u32,
     radix: Option<&RadixNode<NextHop>>,
     inherited: NextHop,
+    aggregate: bool,
 ) {
-    let spec = compute_chunk::<N>(radix, inherited);
-    place_node(trie, idx, spec);
+    let spec = compute_chunk::<N>(radix, inherited, aggregate);
+    place_node(trie, idx, spec, aggregate);
 }
 
 /// Fill the direct-pointing table (§3.4) for the radix subtree at `node`,
 /// which sits `depth` bits below the root and covers direct slots
-/// `[base << (s - depth), (base + 1) << (s - depth))`.
+/// `[base << (s - depth), (base + 1) << (s - depth))`, aggregating when
+/// `aggregate` is set.
 pub(crate) fn fill_direct<K: Bits, N: NodeRepr>(
     trie: &mut PoptrieImpl<K, N>,
     node: Option<&RadixNode<NextHop>>,
     inherited: NextHop,
     depth: u32,
     base: usize,
+    aggregate: bool,
 ) {
     let s = trie.s as u32;
     let Some(n) = node else {
@@ -341,21 +409,22 @@ pub(crate) fn fill_direct<K: Bits, N: NodeRepr>(
         return;
     };
     if depth == s {
-        if n.has_children() {
-            let idx = alloc_nodes(trie, 1);
-            trie.set_direct(base, idx);
-            debug_assert_eq!(
-                idx & DIRECT_LEAF_BIT,
-                0,
-                "node index overflows direct entry"
-            );
-            fill_node(trie, idx, Some(n), inherited);
-        } else {
-            trie.set_direct(base, DIRECT_LEAF_BIT | apply(n.value(), inherited) as u32);
+        match leaf_for(n, inherited, aggregate) {
+            Some(nh) => trie.set_direct(base, DIRECT_LEAF_BIT | nh as u32),
+            None => {
+                let idx = alloc_nodes(trie, 1);
+                trie.set_direct(base, idx);
+                debug_assert_eq!(
+                    idx & DIRECT_LEAF_BIT,
+                    0,
+                    "node index overflows direct entry"
+                );
+                fill_node(trie, idx, Some(n), inherited, aggregate);
+            }
         }
         return;
     }
     let inh = apply(n.value(), inherited);
-    fill_direct(trie, n.child(false), inh, depth + 1, base * 2);
-    fill_direct(trie, n.child(true), inh, depth + 1, base * 2 + 1);
+    fill_direct(trie, n.child(false), inh, depth + 1, base * 2, aggregate);
+    fill_direct(trie, n.child(true), inh, depth + 1, base * 2 + 1, aggregate);
 }

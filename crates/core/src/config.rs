@@ -46,9 +46,15 @@ pub struct PoptrieConfig {
     pub direct_bits: u8,
     /// How incremental updates repair the structure (§3.5).
     pub strategy: UpdateStrategy,
-    /// Apply §3's route aggregation during full compilation. Incremental
-    /// patches always work from the unaggregated RIB either way (the
-    /// transform is semantics-preserving).
+    /// Apply §3's route aggregation during full compilation. The builder
+    /// decides it while expanding the raw RIB, without an aggregated
+    /// copy: a slot whose subtree resolves to one next hop becomes a leaf
+    /// (the collapse of [`RadixTree::aggregated`](poptrie_rib::RadixTree::aggregated),
+    /// which the tests use as the reference). Each uniformity walk stops
+    /// at the first next hop that disagrees, and a subtree is walked again
+    /// only at the next slot boundary below it. Incremental patches always
+    /// work from the unaggregated RIB either way (the transform is
+    /// semantics-preserving).
     pub aggregate: bool,
     /// Initial buddy-arena reservation for internal nodes, in slots
     /// (`0` = grow on demand). Pre-sizing avoids reallocation stalls when

@@ -913,6 +913,9 @@ mod rcu {
 
 mod prop {
     use super::*;
+    use crate::node::{Node16, Node24, NodeRepr};
+    use crate::trie::PoptrieImpl;
+    use poptrie_bitops::Bits;
     use poptrie_rng::check;
 
     /// Up to 49 random routes over a 16-bit key space.
@@ -1000,6 +1003,104 @@ mod prop {
                 fib.poptrie().check_invariants().unwrap();
             },
         );
+    }
+
+    /// A table on which §3's aggregation bites: one to three next hops,
+    /// an optional default route, routes clustered a little above `s` so
+    /// they nest and share chunks, lengths ending at `s` and `s + 6k`,
+    /// and covering routes whose children fill their range with one next
+    /// hop, sometimes broken by a deeper route. One case in eight is
+    /// empty. `key` maps a top-aligned 128-bit address to the key type.
+    fn aggregation_table<K: Bits>(r: &mut StdRng, s: u8, key: fn(u128) -> K) -> RadixTree<K, u16> {
+        let mut rib = RadixTree::new();
+        if r.gen_range(0..8) == 0 {
+            return rib;
+        }
+        let bits = K::BITS as u8;
+        let hops = r.gen_range(1..=3u16);
+        let base: u128 = r.gen();
+        let lo = s.saturating_sub(2) as u32;
+        let window = (u128::MAX >> lo) & !(u128::MAX >> (lo + 16));
+        let near = |r: &mut StdRng| key(base ^ (r.gen::<u128>() & window));
+        let len = |r: &mut StdRng| {
+            let at = [s, s + 6, s + 12, s + 18, s.saturating_sub(1), s + 1, s + 7];
+            if r.gen_range(0..4) == 0 {
+                r.gen_range(0..=bits)
+            } else {
+                (*at.choose(r).unwrap()).min(bits)
+            }
+        };
+        if r.gen::<bool>() {
+            rib.insert(Prefix::new(K::ZERO, 0), r.gen_range(1..=hops));
+        }
+        for _ in 0..r.gen_range(0..24) {
+            let p = Prefix::new(near(r), len(r));
+            rib.insert(p, r.gen_range(1..=hops));
+        }
+        for _ in 0..r.gen_range(0..6) {
+            let extra = r.gen_range(1..=3u8);
+            let cover = Prefix::new(near(r), len(r).min(bits - extra));
+            rib.insert(cover, r.gen_range(1..=hops));
+            let fill = r.gen_range(1..=hops);
+            let subs: Vec<_> = cover.split(extra).collect();
+            for &sub in &subs {
+                rib.insert(sub, fill);
+            }
+            if r.gen::<bool>() {
+                // A deeper route in the last child: the uniformity walk
+                // meets its disagreement late.
+                let last = subs[subs.len() - 1];
+                let deeper = (last.len() + r.gen_range(1..=8u8)).min(bits);
+                let low = r.gen::<u128>().checked_shr(last.len() as u32);
+                let addr = last.addr().or(key(low.unwrap_or(0)));
+                rib.insert(Prefix::new(addr, deeper), r.gen_range(1..=hops));
+            }
+        }
+        rib
+    }
+
+    /// Aggregating during the builder's walk compiles exactly the trie
+    /// that compiling `rib.aggregated()` without aggregation does.
+    fn aggregates_like_reference<K: Bits, N: NodeRepr>(rib: &RadixTree<K, u16>, s: u8) {
+        let ours: PoptrieImpl<K, N> = Builder::new().direct_bits(s).aggregate(true).build(rib);
+        let reference: PoptrieImpl<K, N> = Builder::new()
+            .direct_bits(s)
+            .aggregate(false)
+            .build(&rib.aggregated());
+        assert!(
+            ours.to_bytes() == reference.to_bytes(),
+            "s={s}, {} routes: in-walk aggregation {:?} != compiled rib.aggregated() {:?}",
+            rib.len(),
+            ours.stats(),
+            reference.stats()
+        );
+    }
+
+    fn aggregation_matches_reference<K: Bits>(name: &str, key: fn(u128) -> K) {
+        check(
+            name,
+            96,
+            |r| {
+                let s = *[0u8, 1, 6, 8, 16, 18].choose(r).unwrap();
+                (aggregation_table(r, s, key), s)
+            },
+            |(rib, s)| {
+                aggregates_like_reference::<K, Node24>(&rib, s);
+                aggregates_like_reference::<K, Node16>(&rib, s);
+            },
+        );
+    }
+
+    #[test]
+    fn in_walk_aggregation_matches_reference_v4() {
+        aggregation_matches_reference("in_walk_aggregation_matches_reference_v4", |a| {
+            (a >> 96) as u32
+        });
+    }
+
+    #[test]
+    fn in_walk_aggregation_matches_reference_v6() {
+        aggregation_matches_reference("in_walk_aggregation_matches_reference_v6", |a| a);
     }
 }
 

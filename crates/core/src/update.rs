@@ -479,7 +479,7 @@ impl<K: Bits> Fib<K> {
             let mid = snapshot(&self.trie);
             let root = alloc_nodes(&mut self.trie, 1);
             self.trie.root = root;
-            fill_node(&mut self.trie, root, self.rib.root(), NO_ROUTE);
+            fill_node(&mut self.trie, root, self.rib.root(), NO_ROUTE, false);
             credit(&mut self.stats, before, mid, snapshot(&self.trie));
             return;
         }
@@ -525,7 +525,7 @@ impl<K: Bits> Fib<K> {
                 }
                 let before = snapshot(&self.trie);
                 let idx = alloc_nodes(&mut self.trie, 1);
-                fill_node(&mut self.trie, idx, cur, inherited);
+                fill_node(&mut self.trie, idx, cur, inherited, false);
                 credit_built(&mut self.stats, before, snapshot(&self.trie));
                 idx
             }
@@ -571,14 +571,14 @@ fn refresh_node<K: Bits>(
     inherited: NextHop,
 ) {
     let old: Node24 = trie.nodes[idx as usize];
-    let spec = compute_chunk::<Node24>(radix, inherited);
+    let spec = compute_chunk::<Node24>(radix, inherited, false);
     if spec.vector != old.vector {
         // Structure changed: rebuild this subtree in place.
         let before = snapshot(trie);
         free_subtree(trie, idx);
         credit_freed(stats, before, snapshot(trie));
         let before = snapshot(trie);
-        place_node(trie, idx, spec);
+        place_node(trie, idx, spec, false);
         credit_built(stats, before, snapshot(trie));
         return;
     }

@@ -952,7 +952,9 @@ fn worker_main<K: Bits>(
                     w.deadline_dropped_packets.add(batch.len() as u64);
                     continue;
                 }
-                if inject.swap(false, Ordering::Relaxed) {
+                // Load first: the swap is a locked RMW, paid only once a
+                // fault is requested.
+                if inject.load(Ordering::Relaxed) && inject.swap(false, Ordering::Relaxed) {
                     panic!("injected worker fault");
                 }
                 // Epoch consistency: one snapshot per batch, re-acquired

@@ -370,6 +370,10 @@ impl<K: Bits, V: Clone + Eq> RadixTree<K, V> {
     /// Lookup results are preserved for **every** key, including keys that
     /// match no route (aggregation never invents coverage for unrouted
     /// space).
+    ///
+    /// The Poptrie builder makes the same collapse while it compiles the
+    /// raw tree, without this copy; its tests use this function as the
+    /// reference the compiled bytes must match.
     pub fn aggregated(&self) -> Self {
         // For each subtree, compute its replacement together with its
         // "uniform" status: Some(u) when every address below resolves to

@@ -183,3 +183,46 @@ fn table5_structural_limits_full_scale() {
     // Poptrie compiles everything, with room to spare (§5).
     let _: Poptrie<u32> = Builder::new().direct_bits(18).build(&rib2);
 }
+
+/// Full-scale check of §3 aggregation decided during the builder's walk:
+/// on REAL-Tier1-A, REAL-Tier1-B and REAL-Tier1-A-v6 at s = 0/16/18, with
+/// both node layouts, it compiles byte for byte the trie that compiling
+/// the materialized `rib.aggregated()` without aggregation does. Run with
+/// `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "full-scale dataset synthesis; minutes in debug builds"]
+fn in_walk_aggregation_matches_reference_full_scale() {
+    use poptrie_suite::bitops::Bits;
+    use poptrie_suite::poptrie::{trie::PoptrieImpl, Node16, Node24, NodeRepr};
+    use poptrie_suite::rib::RadixTree;
+
+    fn check<K: Bits, N: NodeRepr>(
+        name: &str,
+        rib: &RadixTree<K, u16>,
+        reference: &RadixTree<K, u16>,
+    ) {
+        for s in [0u8, 16, 18] {
+            let ours: PoptrieImpl<K, N> = Builder::new().direct_bits(s).aggregate(true).build(rib);
+            let theirs: PoptrieImpl<K, N> = Builder::new()
+                .direct_bits(s)
+                .aggregate(false)
+                .build(reference);
+            assert!(
+                ours.to_bytes() == theirs.to_bytes(),
+                "{name} s={s}: {:?} != {:?}",
+                ours.stats(),
+                theirs.stats()
+            );
+        }
+    }
+    for name in ["REAL-Tier1-A", "REAL-Tier1-B"] {
+        let rib = tablegen::dataset(name).to_rib();
+        let reference = rib.aggregated();
+        check::<u32, Node24>(name, &rib, &reference);
+        check::<u32, Node16>(name, &rib, &reference);
+    }
+    let rib = tablegen::ipv6_dataset("REAL-Tier1-A-v6").to_rib();
+    let reference = rib.aggregated();
+    check::<u128, Node24>("REAL-Tier1-A-v6", &rib, &reference);
+    check::<u128, Node16>("REAL-Tier1-A-v6", &rib, &reference);
+}
